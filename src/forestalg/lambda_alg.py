@@ -20,7 +20,7 @@ from math import factorial
 
 from . import forests
 from .forests import TriangleGraph
-from .linalg import FieldEchelon, coordinates_in_basis, smith_divisors
+from .linalg import FieldEchelon, smith_divisors
 from .rings import GF2, QQ, ZZ
 from .skewpoly import (GeneratorUniverse, SkewPoly, ideal_slice,
                        mul_monomials, quotient_dimension)
@@ -68,11 +68,6 @@ class Presentation:
 
     def monomial_edges(self, monomial: tuple[int, ...]) -> tuple:
         return tuple(self.universe.label_tuple(g) for g in monomial)
-
-    def graph_of(self, monomial: tuple[int, ...]) -> TriangleGraph:
-        if self.variant == "quad":
-            raise ValueError("triangle graphs index 3-subset monomials only")
-        return TriangleGraph.make(self.labels, self.monomial_edges(monomial))
 
     # -- relations ---------------------------------------------------------
 
@@ -133,6 +128,10 @@ def _relations_cached(variant: str, labels: tuple) -> list[SkewPoly]:
         for six in combinations(labels, 6):
             for word in permutations(six):
                 i, j, k, l, m, q6 = word
+                # the relation is invariant under rotating the word by two
+                # places: keep the rotation that comes first in this order
+                if not (i < k and i < m):
+                    continue
                 rel = (p.term((i, j, k, l)) * p.term((l, m, q6, i))
                        + p.term((k, l, m, q6)) * p.term((q6, i, j, k))
                        + p.term((m, q6, i, j)) * p.term((j, k, l, m)))
@@ -145,8 +144,11 @@ def _relations_cached(variant: str, labels: tuple) -> list[SkewPoly]:
         for k, l in combinations(rest, 2):
             push(p.term(pair + (k,)) * p.term(pair + (l,)))
     for five in combinations(labels, 5):
-        for word in permutations(five):
-            i, j, k, l, m = word
+        # the relation is invariant under rotating the word by one place:
+        # keep the rotation starting at the smallest label, the first one
+        # in permutation order
+        for rest in permutations(five[1:]):
+            i, j, k, l, m = five[:1] + rest
             rel = (p.term((i, j, k)) * p.term((k, l, m))
                    + p.term((j, k, l)) * p.term((l, m, i))
                    + p.term((k, l, m)) * p.term((m, i, j))
@@ -200,14 +202,9 @@ def block_dimension(variant: str, size: int, edges: int, with_divisors: bool = F
         return (dim, []) if with_divisors else dim
     if size % 2 == 1 and edges == (size - 1) // 2:
         p = Presentation(variant, range(1, size + 1))
-        rels = p.relations()
-        if with_divisors:
-            return quotient_dimension(rels, edges, p.universe, ZZ,
-                                      column_filter=_connected_filter(p.universe),
-                                      with_divisors=True)
-        return quotient_dimension([r.convert(QQ) for r in rels], edges,
-                                  p.universe, QQ,
-                                  column_filter=_connected_filter(p.universe))
+        return quotient_dimension(p.relations(), edges, p.universe, QQ,
+                                  column_filter=_connected_filter(p.universe),
+                                  with_divisors=with_divisors)
     # cyclic block: every monomial's graph has a cycle, and every cyclic
     # monomial is certified zero by explicit relation rewriting
     _assert_cyclic_block_dies(size, edges)
@@ -308,14 +305,6 @@ def _close_and_mark(seed_classes) -> None:
                     _killed_classes[cls] = True
                     changed = True
                     break
-
-
-def _cyclic_monomial_dies(edges: tuple) -> bool:
-    form = _first_occurrence_form(edges)
-    if form in _killed_classes:
-        return _killed_classes[form]
-    _close_and_mark([form])
-    return _killed_classes.get(form, False)
 
 
 @lru_cache(maxsize=None)
@@ -530,10 +519,6 @@ def hilbert_polynomial(p: Presentation, check_formula: bool = True) -> list[int]
     return dims
 
 
-def euler_characteristic_value(dims: list[int]) -> int:
-    return sum((-1) ** d * c for d, c in enumerate(dims))
-
-
 def double_factorial(k: int) -> int:
     if k <= 0:
         return 1
@@ -592,7 +577,9 @@ def quad_to_tri(x: SkewPoly, quad: Presentation, tri: Presentation) -> SkewPoly:
 def _degree_slice(variant: str, labels: tuple, degree: int, ring_tag: str):
     ring = {"Q": QQ, "GF2": GF2, "Z": ZZ}[ring_tag]
     p = Presentation(variant, labels)
-    rels = [r.convert(ring) for r in p.relations()]
+    rels = p.relations()  # integer relations span Z and Q slices as they are
+    if ring is GF2:
+        rels = [r.convert(GF2) for r in rels]
     return ideal_slice(rels, degree, p.universe, ring)
 
 

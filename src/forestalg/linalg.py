@@ -5,6 +5,11 @@ callers intern their column labels.  The routines here are the workhorses
 behind every ideal-slice echelon, homology rank and torsion certificate, so
 they favor predictable pivoting (deterministic output) and unit-pivot
 elimination (the boundary matrices here are overwhelmingly {0, +-1}).
+
+Exact elimination over Q is integer-first: an entry is a Python ``int`` until
+a division by a pivot lead other than +-1 makes it a ``Fraction``, and the
+values are the same rationals either way.  Relations with +-1 coefficients
+therefore never leave integer arithmetic.
 """
 
 from __future__ import annotations
@@ -18,12 +23,27 @@ from math import gcd
 # field echelon (Q or F_p)
 
 
+def _rational(v):
+    """Exact value of v as an int when integral, else as a Fraction."""
+    if type(v) is int:
+        return v
+    v = Fraction(v)
+    return v.numerator if v.denominator == 1 else v
+
+
 class FieldEchelon:
     """Incremental row echelon over Q (p=None) or F_p, leading column minimal.
 
     Pivot rows are normalized to leading coefficient 1.  ``reduce`` returns
     the unique normal form modulo the row space (single increasing-column
     pass; pivot tails only touch larger columns).
+
+    Over Q an entry is an ``int`` as long as it is integral and every pivot
+    it met had lead +-1 (a -1 lead is normalized by negating the row).  Only
+    normalizing a pivot row by a lead other than +-1 makes ``Fraction``
+    entries (integral quotients stay ``int``); they spread to the rows reduced
+    against that pivot.  Ranks, pivot columns and residues are the same
+    rational values as an all-``Fraction`` elimination.
     """
 
     def __init__(self, p: int | None = None):
@@ -35,8 +55,9 @@ class FieldEchelon:
         return len(self.pivots)
 
     def _normalize(self, row: dict) -> dict:
+        """A fresh copy of row with exact entries and no zeros."""
         if self.p is None:
-            return {c: Fraction(v) for c, v in row.items() if v}
+            return {c: _rational(v) for c, v in row.items() if v}
         p = self.p
         out = {}
         for c, v in row.items():
@@ -48,27 +69,26 @@ class FieldEchelon:
     def reduce(self, row: dict) -> dict:
         row = self._normalize(row)
         p = self.p
-        heap = sorted(row)
-        seen = set()
+        pivots = self.pivots
+        heap = [c for c in row if c in pivots]
+        heapq.heapify(heap)
+        last = None
         while heap:
             c = heapq.heappop(heap)
-            if c in seen:
-                continue
-            seen.add(c)
+            if c == last:
+                continue  # pushed twice; columns pop in increasing order
+            last = c
             v = row.get(c)
             if not v:
                 continue
-            piv = self.pivots.get(c)
-            if piv is None:
-                continue
-            for c2, w in piv.items():
+            for c2, w in pivots[c].items():
                 fresh = c2 not in row
                 nv = row.get(c2, 0) - v * w
                 if p is not None:
                     nv %= p
                 if nv:
                     row[c2] = nv
-                    if fresh and c2 not in seen:
+                    if fresh and c2 in pivots:
                         heapq.heappush(heap, c2)
                 else:
                     row.pop(c2, None)
@@ -81,24 +101,25 @@ class FieldEchelon:
             return False
         lead = min(row)
         lv = row[lead]
-        if self.p is None:
-            inv = Fraction(1) / lv
-            row = {c: v * inv for c, v in row.items()}
-        else:
+        if self.p is not None:
             inv = pow(lv, self.p - 2, self.p)
             row = {c: (v * inv) % self.p for c, v in row.items()}
+        elif lv == -1:
+            row = {c: -v for c, v in row.items()}
+        elif lv != 1:
+            row = {c: _rational(Fraction(v) / lv) for c, v in row.items()}
         self.pivots[lead] = row
         return True
 
     def extend(self, rows) -> int:
         added = 0
         for r in rows:
-            if self.add(dict(r)):
+            if self.add(r):
                 added += 1
         return added
 
     def contains(self, row: dict) -> bool:
-        return not self.reduce(dict(row))
+        return not self.reduce(row)
 
     def same_span(self, other: "FieldEchelon") -> bool:
         if self.rank != other.rank:
@@ -403,7 +424,9 @@ def smith_divisors(rows) -> tuple[int, list[int]]:
         file_row(rid)
 
     rank = len(diagonal)
-    divisors = sorted(d for d in diagonal if d)
+    # a unit divides everything, so only the non-unit entries need the
+    # pairwise fix-up into a divisibility chain
+    divisors = sorted(d for d in diagonal if d != 1)
     for i in range(len(divisors)):
         for j in range(i + 1, len(divisors)):
             a, b = divisors[i], divisors[j]
@@ -411,7 +434,7 @@ def smith_divisors(rows) -> tuple[int, list[int]]:
                 g = gcd(a, b)
                 divisors[i], divisors[j] = g, a * b // g
         divisors.sort()
-    return rank, divisors
+    return rank, [1] * (rank - len(divisors)) + divisors
 
 
 def kernel_basis_fast(rows: list[dict]) -> list[dict]:

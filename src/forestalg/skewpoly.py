@@ -227,9 +227,31 @@ class SkewPoly:
         return out
 
 
+def _check_json_term(item) -> None:
+    """ValueError unless item is {"monomial": [[label, ...], ...]} with
+    optional integer "numerator" and nonzero integer "denominator"."""
+    if not isinstance(item, dict):
+        raise ValueError(f"term {item!r} is not an object")
+    mono = item.get("monomial")
+    if not (isinstance(mono, list) and all(
+            isinstance(idx, list) and all(type(x) is int for x in idx)
+            for idx in mono)):
+        raise ValueError(f"monomial {mono!r} is not a list of index lists")
+    num, den = item.get("numerator", 1), item.get("denominator", 1)
+    if type(num) is not int or type(den) is not int:
+        raise ValueError(f"coefficient {num!r}/{den!r} is not a ratio of integers")
+    if den == 0:
+        raise ValueError("zero denominator")
+
+
 def poly_from_json_terms(ring, universe: GeneratorUniverse, data) -> SkewPoly:
+    """Element from a JSON term list (the format of ``to_json_terms``);
+    ValueError on a malformed list."""
+    if not isinstance(data, list):
+        raise ValueError("element must be a list of terms")
     acc = SkewPoly.zero(ring)
     for item in data:
+        _check_json_term(item)
         coeff = Fraction(item.get("numerator", 1), item.get("denominator", 1))
         if ring is not QQ:
             if coeff.denominator != 1:
@@ -300,14 +322,14 @@ class IdealSlice:
         _, divisors = smith_divisors(self._raw_rows)
         return divisors
 
-    def _poly_to_row(self, p: SkewPoly):
+    def _terms_to_row(self, terms: dict):
         if self.ring is GF2:
             row = 0
-            for m, c in p.terms.items():
+            for m, c in terms.items():
                 if c & 1:
                     row |= 1 << self.col_of[m]
             return row
-        return {self.col_of[m]: c for m, c in p.terms.items()}
+        return {self.col_of[m]: c for m, c in terms.items()}
 
     def _row_to_poly(self, row) -> SkewPoly:
         if self.ring is GF2:
@@ -327,7 +349,7 @@ class IdealSlice:
             return p
         if p.degree() != self.degree:
             raise ValueError(f"degree {p.degree()} element in degree {self.degree} slice")
-        row = self._poly_to_row(p)
+        row = self._terms_to_row(p.terms)
         if self.ring is GF2:
             return self._row_to_poly(self.echelon.residue(row))
         return self._row_to_poly(self.echelon.reduce(row))
@@ -336,19 +358,28 @@ class IdealSlice:
         return not self.reduce(p).terms
 
 
+def _admits(ring: CoefficientRing, rel_ring: CoefficientRing) -> bool:
+    """Relations over rel_ring can span a slice over ring as they are: the
+    same ring, or integer relations in a rational slice (Z inside Q)."""
+    return rel_ring is ring or (ring is QQ and rel_ring is ZZ)
+
+
 def ideal_slice(relations: list[SkewPoly], degree: int,
                 universe: GeneratorUniverse, ring: CoefficientRing,
                 column_filter=None) -> IdealSlice:
     """Build and echelonize the degree-d slice of the two-sided ideal.
 
-    ``column_filter`` restricts to a partition block: columns keep only the
-    monomials passing the filter, and every generated row must lie entirely
-    inside or outside the block (relations here are partition-homogeneous).
+    Relations are over ``ring``, or over Z for a slice over Q; rows are built
+    from their coefficients with plain arithmetic, so integer relations give
+    integer rows.  ``column_filter`` restricts to a partition block: columns
+    keep only the monomials passing the filter, and every generated row must
+    lie entirely inside or outside the block (relations here are
+    partition-homogeneous).
     """
     for r in relations:
         if not r.is_homogeneous():
             raise ValueError("inhomogeneous relation")
-        if r and r.ring is not ring:
+        if r and not _admits(ring, r.ring):
             raise RingMismatchError("relation ring mismatch")
 
     columns = [m for m in universe.monomials(degree)
@@ -369,17 +400,14 @@ def ideal_slice(relations: list[SkewPoly], degree: int,
         if d_r > degree:
             continue
         for mult in universe.monomials(degree - d_r):
+            # distinct relation monomials stay distinct after multiplying by
+            # one monomial, so every product is a separate term of the row
             row_terms = {}
             for m, c in r.terms.items():
                 prod = mul_monomials(mult, m)
-                if prod is None:
-                    continue
-                mono, sign = prod
-                v = ring.add(row_terms.get(mono, 0), ring.mul(c, sign))
-                if v:
-                    row_terms[mono] = v
-                else:
-                    row_terms.pop(mono, None)
+                if prod is not None:
+                    mono, sign = prod
+                    row_terms[mono] = c if sign == 1 else -c
             if not row_terms:
                 continue
             if column_filter is not None:
@@ -388,9 +416,7 @@ def ideal_slice(relations: list[SkewPoly], degree: int,
                     continue
                 if not all(inside):
                     raise AssertionError("row straddles the column filter")
-            poly = SkewPoly(ring)
-            poly.terms = row_terms
-            row = slice_obj._poly_to_row(poly)
+            row = slice_obj._terms_to_row(row_terms)
             if ring is ZZ:
                 slice_obj._raw_rows.append(dict(row))
             echelon.add(row)
@@ -402,7 +428,8 @@ def quotient_dimension(relations, degree, universe, ring=QQ,
     """Dimension of (degree-d monomial span)/(ideal slice); optionally also
     the elementary divisors of the slice over Z (torsion certificate)."""
     ring_for_rank = ZZ if with_divisors else ring
-    sl = ideal_slice([r.convert(ring_for_rank) for r in relations],
+    sl = ideal_slice([r if _admits(ring_for_rank, r.ring)
+                      else r.convert(ring_for_rank) for r in relations],
                      degree, universe, ring_for_rank, column_filter)
     dim = sl.quotient_dimension()
     if with_divisors:

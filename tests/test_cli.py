@@ -46,6 +46,19 @@ def test_usage_error_exit_code(capsys):
     assert main(["reduce", "--n", "6", "--element", "{not json"]) == 2
 
 
+def test_reduce_malformed_element(capsys):
+    for element in (
+            [1],
+            [{"monomial": [[1, 4, 5]], "numerator": 1, "denominator": 0}],
+            {"monomial": [[1, 4, 5]]},
+            [{"monomial": [1, 4, 5]}],
+            [{"monomial": [[1, 4, 5]], "numerator": 1.5}],
+            [{"monomial": [[1, 4, 5]], "denominator": "2"}]):
+        assert main(["reduce", "--n", "6", "--element", json.dumps(element)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_deterministic_output(capsys):
     _, out1 = run(capsys, ["bound", "--n", "4"])
     _, out2 = run(capsys, ["bound", "--n", "4"])

@@ -1,4 +1,6 @@
 import random
+from itertools import combinations, permutations
+from math import gcd
 
 import pytest
 
@@ -12,6 +14,54 @@ from forestalg.lambda_alg import (Presentation, basic_forest_complex_homology,
                                   whitney_differential)
 from forestalg.rings import QQ, ZZ
 from forestalg.skewpoly import SkewPoly, ideal_slice
+
+
+def _relations_over_all_words(variant, labels):
+    """Oracle: every relation family generated over every ordering of its
+    word, deduplicated up to content and sign in generation order."""
+    p = Presentation(variant, labels)
+    t = p.term
+    out, seen = [], set()
+
+    def push(rel):
+        if not rel:
+            return
+        g = 0
+        for c in rel.terms.values():
+            g = gcd(g, abs(c))
+        sign = 1 if rel.terms[min(rel.terms)] > 0 else -1
+        terms = {m: sign * c // g for m, c in rel.terms.items()}
+        key = tuple(sorted(terms.items()))
+        if key not in seen:
+            seen.add(key)
+            out.append(terms)
+
+    if variant == "quad":
+        for five in combinations(labels, 5):
+            rel = SkewPoly.zero(ZZ)
+            for s in range(5):
+                rel = rel + t((five[s:] + five[:s])[:4])
+            push(rel)
+        for base in combinations(labels, 3):
+            rest = [x for x in labels if x not in base]
+            for l, m in combinations(rest, 2):
+                push(t(base + (l,)) * t(base + (m,)))
+        for six in combinations(labels, 6):
+            for i, j, k, l, m, q in permutations(six):
+                push(t((i, j, k, l)) * t((l, m, q, i))
+                     + t((k, l, m, q)) * t((q, i, j, k))
+                     + t((m, q, i, j)) * t((j, k, l, m)))
+        return out
+    for pair in combinations(labels, 2):
+        rest = [x for x in labels if x not in pair]
+        for k, l in combinations(rest, 2):
+            push(t(pair + (k,)) * t(pair + (l,)))
+    for five in combinations(labels, 5):
+        for i, j, k, l, m in permutations(five):
+            push(t((i, j, k)) * t((k, l, m)) + t((j, k, l)) * t((l, m, i))
+                 + t((k, l, m)) * t((m, i, j)) + t((l, m, i)) * t((i, j, k))
+                 + t((m, i, j)) * t((j, k, l)))
+    return out
 
 
 def test_relation_families():
@@ -30,6 +80,16 @@ def test_relation_families():
     tw2 = Presentation("twisted", range(1, 3))
     assert len(tw2.universe) == 0
     assert hilbert_polynomial(tw2) == [1]
+    # one word per rotation orbit gives the same relations, in the same
+    # order and with the same terms, as every ordering of every word
+    for variant in ("quad", "tri", "twisted"):
+        for n in range(5, 9):
+            labels = tuple(range(1, n + 1))
+            got = Presentation(variant, labels).relations()
+            assert all(r.ring is ZZ for r in got)
+            assert ([list(r.terms.items()) for r in got]
+                    == [list(t.items()) for t in
+                        _relations_over_all_words(variant, labels)])
 
 
 def test_relation_family_label_equivariance():

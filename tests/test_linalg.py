@@ -1,7 +1,11 @@
 import random
 from fractions import Fraction
+from itertools import combinations
+from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from forestalg.linalg import (BasisSolver, BitEchelon, FieldEchelon,
                               HermiteEchelon, bit_rank, coordinates_in_basis,
@@ -56,6 +60,29 @@ def test_hermite_membership():
     assert not ech.contains({1: 1})
 
 
+def _det(m):
+    if not m:
+        return 1
+    return sum((-1) ** j * m[0][j] * _det([r[:j] + r[j + 1:] for r in m[1:]])
+               for j in range(len(m)) if m[0][j])
+
+
+def _determinantal_divisors(rows, ncols):
+    """Smith divisors as quotients of the gcds of k x k minors (small only)."""
+    m = _dense(rows, ncols)
+    out, prev = [], 1
+    for k in range(1, min(len(m), ncols) + 1):
+        g = 0
+        for ri in combinations(range(len(m)), k):
+            for ci in combinations(range(ncols), k):
+                g = gcd(g, _det([[m[r][c] for c in ci] for r in ri]))
+        if not g:
+            break
+        out.append(g // prev)
+        prev = g
+    return out
+
+
 def test_smith_divisors_known_matrix():
     rows = [{0: 12, 1: 6, 2: 4, 3: 8},
             {0: 3, 1: 9, 2: 6, 3: 12},
@@ -64,6 +91,22 @@ def test_smith_divisors_known_matrix():
     rank, divisors = smith_divisors(rows)
     assert rank == 3
     assert divisors == [1, 10, 30]
+    # unit pivots mixed with entries 2, 3 and 4: the non-unit remainder still
+    # goes through the divisibility fix-up, the units are only counted
+    for rows, want in [
+            ([{0: 1, 1: 2, 2: 4}, {1: 2, 3: 1}, {2: 3}, {3: 4, 4: -1},
+              {4: 1, 1: 6}], [1, 1, 1, 1, 6]),
+            ([{0: 2}, {1: 3}, {2: 4}, {3: 1}], [1, 1, 2, 12]),
+            ([{0: 1, 1: 2}, {1: 4, 2: 2}, {2: 6, 0: 3}, {3: -1, 1: 2},
+              {1: 2, 2: 4}], [1, 1, 2, 6]),
+            ([{0: 4, 1: 2}, {0: 2, 1: 4, 2: 1}, {2: 3, 3: 3}, {3: 2}],
+             [1, 1, 2, 36])]:
+        assert smith_divisors(rows) == (len(want), want)
+        assert _determinantal_divisors(rows, 5) == want
+    # a long unit diagonal around the same 2, 3, 4 block
+    rows = [{i: 1} for i in range(500)] + [{500: 2}, {501: 3}, {502: 4},
+                                           {500: 1, 503: 1}]
+    assert smith_divisors(rows) == (504, [1] * 502 + [2, 12])
 
 
 def test_smith_divisors_identity_like():
@@ -111,3 +154,81 @@ def test_basis_solver_and_coordinates():
     assert coordinates_in_basis({0: 2, 1: 3, 2: 1}, basis) == [Fraction(2), Fraction(1)]
     with pytest.raises(ValueError):
         BasisSolver([{0: 1}, {0: 2}])
+
+
+class _FractionEchelon:
+    """Reference Q echelon: every entry a Fraction, pivot leads scaled to 1,
+    pivot columns eliminated in increasing order."""
+
+    def __init__(self):
+        self.pivots = {}
+        self.nonunit_leads = 0
+
+    def reduce(self, row):
+        row = {c: Fraction(v) for c, v in row.items() if v}
+        for c in sorted(self.pivots):  # pivot tails only touch larger columns
+            v = row.get(c)
+            if v:
+                for c2, w in self.pivots[c].items():
+                    row[c2] = row.get(c2, Fraction(0)) - v * w
+                row = {k: x for k, x in row.items() if x}
+        return row
+
+    def add(self, row):
+        row = self.reduce(row)
+        if not row:
+            return False
+        lead = min(row)
+        if abs(row[lead]) != 1:
+            self.nonunit_leads += 1
+        self.pivots[lead] = {c: v / row[lead] for c, v in row.items()}
+        return True
+
+
+_fractions = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+_entries = st.integers(-4, 4) | _fractions
+
+
+@st.composite
+def _q_rows(draw):
+    """A sparse row whose lead is often 2, 3 or -1 (non-unit and negative
+    pivots), with integer or Fraction entries."""
+    lead = draw(st.integers(0, 6))
+    row = draw(st.dictionaries(st.integers(lead + 1, 8), _entries, max_size=4))
+    row[lead] = draw(st.sampled_from([1, -1, 2, 3, Fraction(3, 2)])
+                     | _fractions.filter(bool))
+    return row
+
+
+@settings(max_examples=150, deadline=None)
+@given(rows=st.lists(_q_rows(), min_size=1, max_size=8),
+       queries=st.lists(st.dictionaries(st.integers(0, 8), _entries,
+                                        max_size=5), max_size=4))
+def test_field_echelon_matches_fraction_elimination(rows, queries):
+    copies = [dict(r) for r in rows]
+    ech, ref = FieldEchelon(None), _FractionEchelon()
+    for r in rows:
+        assert ech.add(r) == ref.add(r)
+    assert rows == copies  # callers' rows are never modified
+    assert ech.rank == len(ref.pivots)
+    assert ech.pivots == ref.pivots  # same pivot rows, compared as rationals
+    for q in queries + rows:
+        residue = ech.reduce(q)
+        assert residue == ref.reduce(q)
+        assert ech.contains(q) == (not residue)
+    if all(type(v) is int for r in rows for v in r.values()) \
+            and not ref.nonunit_leads:
+        # +-1 leads and integer input: no Fraction is ever made
+        assert all(type(v) is int for r in ech.pivots.values() for v in r.values())
+        for q in queries:
+            if all(type(x) is int for x in q.values()):
+                assert all(type(v) is int for v in ech.reduce(q).values())
+    same = FieldEchelon(None)
+    same.extend(rows[::-1] + [{c: 2 * v for c, v in rows[0].items()}])
+    assert ech.same_span(same) and same.same_span(ech)
+    fewer = FieldEchelon(None)
+    fewer.extend(rows[:-1])
+    shorter = _FractionEchelon()
+    for r in rows[:-1]:
+        shorter.add(r)
+    assert ech.same_span(fewer) == (len(shorter.pivots) == len(ref.pivots))

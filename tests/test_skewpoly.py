@@ -96,6 +96,20 @@ def test_quotient_dimension_examples():
                               p7.universe, QQ) == 64
 
 
+def test_integer_relations_give_integer_rational_slice():
+    # the relations have coefficients +-1, so the Q echelon never leaves int
+    p = Presentation("tri", range(1, 7))
+    sl = ideal_slice(p.relations(), 2, p.universe, QQ)
+    assert sl.quotient_dimension() == 64
+    assert all(type(v) is int
+               for row in sl.echelon.pivots.values() for v in row.values())
+    x = p.monomial([(1, 2, 3), (3, 4, 5)], coeff=3, ring=QQ)
+    assert sl.reduce(x) == ideal_slice([r.convert(QQ) for r in p.relations()],
+                                       2, p.universe, QQ).reduce(x)
+    with pytest.raises(RingMismatchError):
+        ideal_slice(p.relations(), 2, p.universe, GF2)
+
+
 def test_empty_relations_slice():
     p = Presentation("tri", range(1, 5))
     sl = ideal_slice([], 2, p.universe, QQ)
