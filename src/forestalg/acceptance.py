@@ -10,8 +10,8 @@ from itertools import combinations
 
 from . import forests, keel, lambda_alg, operad, poset_homology, quadratic_dual
 from .rings import QQ, ZZ
-from .series import (basic_forest_egf, keel_betti_polynomial,
-                     odd_square_product_poly, verify_functional_equation_B)
+from .series import (keel_betti_polynomial, odd_square_product_poly,
+                     verify_functional_equation_B)
 from .skewpoly import SkewPoly, ideal_slice
 
 
@@ -264,16 +264,8 @@ def criterion_9_operad(trials: int = 100, seed: int = 2026) -> dict:
         rng = random.Random(seed)
         ok_co = True
         for _ in range(trials):
-            ns = rng.randint(4, 7)
-            nt = rng.randint(1, 3)
-            nu = rng.randint(1, 2)
-            fmap = {i + 1: 100 + rng.randint(1, nt) for i in range(ns)}
-            tgt = tuple(100 + i for i in range(1, nt + 1))
-            gmap = {t: 200 + rng.randint(1, nu) for t in tgt}
-            utgt = tuple(200 + i for i in range(1, nu + 1))
-            f = operad.FiniteMap.make(fmap, tgt)
-            g = operad.FiniteMap.make(gmap, utgt)
-            if not operad.coassociativity_check(f, g):
+            if not operad.coassociativity_check(
+                    *operad.random_composable_pair(rng)):
                 ok_co = False
         ok_rel = True
         for _ in range(12):

@@ -12,12 +12,11 @@ import argparse
 import json
 import os
 import sys
-import time
 
 from . import acceptance, forests, keel, lambda_alg, operad, poset_homology
 from . import quadratic_dual, series
 from .rings import QQ
-from .skewpoly import SkewPoly, poly_from_json_terms
+from .skewpoly import poly_from_json_terms
 
 
 def _emit(report: dict, args) -> None:
@@ -43,14 +42,29 @@ def _emit(report: dict, args) -> None:
         print(text)
 
 
-def _parse_range(spec: str) -> list[int]:
-    if "-" in spec:
-        lo, hi = spec.split("-", 1)
-        return list(range(int(lo), int(hi) + 1))
-    return [int(spec)]
+def _at_least(value: int, lo: int, name: str = "--n") -> int:
+    if value < lo:
+        raise ValueError(f"{name} must be >= {lo}")
+    return value
+
+
+def _parse_range(spec: str, lo: int) -> list[int]:
+    """The values of ``n`` or of the inclusive range ``a-b``, all >= lo."""
+    a, sep, b = spec.partition("-")
+    try:
+        first = int(a)
+        last = int(b) if sep else first
+    except ValueError:
+        raise ValueError(f"--n must be an integer >= {lo} or a range a-b, "
+                         f"got {spec!r}") from None
+    if last < first:
+        raise ValueError(f"--n range {spec!r} is empty")
+    _at_least(first, lo)
+    return list(range(first, last + 1))
 
 
 def cmd_hilbert(args) -> int:
+    _at_least(args.n, 1)
     pres = lambda_alg.Presentation(args.variant, range(1, args.n)
                                    if args.variant != "quad"
                                    else range(1, args.n + 1))
@@ -64,6 +78,9 @@ def cmd_hilbert(args) -> int:
 
 
 def cmd_basis(args) -> int:
+    _at_least(args.n, 1)
+    if args.degree is not None:
+        _at_least(args.degree, 0, "--degree")
     labels = tuple(range(1, args.n))
     pres = lambda_alg.Presentation("tri", labels)
     dims = lambda_alg.hilbert_polynomial(pres, check_formula=False)
@@ -87,6 +104,7 @@ def cmd_basis(args) -> int:
 
 
 def cmd_reduce(args) -> int:
+    _at_least(args.n, 1)
     labels = tuple(range(1, args.n))
     pres = lambda_alg.Presentation(args.variant if args.variant != "quad" else "tri",
                                    labels)
@@ -122,10 +140,10 @@ def _poset_row(n: int) -> dict:
 
 
 def cmd_poset_homology(args) -> int:
-    ns = _parse_range(args.n)
+    ns = _parse_range(args.n, 2)
     rows = dict(zip(ns, _map_ns(_poset_row, ns, args.jobs)))
     ok = all(r["ok"] for r in rows.values())
-    report = rows[int(args.n)] if "-" not in args.n else rows
+    report = rows[ns[0]] if "-" not in args.n else rows
     _emit(report, args)
     return 0 if ok else 1
 
@@ -136,15 +154,16 @@ def _whitney_row(n: int) -> dict:
 
 
 def cmd_whitney(args) -> int:
-    ns = _parse_range(args.n)
+    ns = _parse_range(args.n, 2)
     rows = dict(zip(ns, _map_ns(_whitney_row, ns, args.jobs)))
     ok = all(r["exact"] for r in rows.values())
-    _emit(rows if len(rows) > 1 else rows[int(args.n)], args)
+    _emit(rows[ns[0]] if "-" not in args.n else rows, args)
     return 0 if ok else 1
 
 
 def cmd_egf(args) -> int:
-    order = args.order
+    # verify_arcsin_ode compares coefficients through order - 2
+    order = _at_least(args.order, 2, "--order")
     P = series.basic_forest_egf(order)
     from math import factorial
     table = {}
@@ -164,9 +183,11 @@ def cmd_egf(args) -> int:
 
 
 def cmd_keel_count(args) -> int:
+    # verify_functional_equation_B checks nothing below order 2
+    _at_least(args.order, 2, "--order")
     ok = True
     rows = {}
-    for n in _parse_range(args.n):
+    for n in _parse_range(args.n, 2):
         rep = keel.canonical_count_report(n)
         rows[n] = rep
         ok = ok and rep["match"]
@@ -177,13 +198,13 @@ def cmd_keel_count(args) -> int:
 
 
 def cmd_bockstein(args) -> int:
+    _at_least(args.n, 0)
     got = keel.bockstein_cohomology(args.n, twisted=args.twisted)
     report = {"n": args.n, "twisted": args.twisted,
               "dims": dict(sorted(got.items()))}
     if not args.twisted:
         report["connected_blocks"] = {
             m: dict(keel.hbeta_connected_block(m)) for m in range(3, args.n + 1)}
-    if not args.twisted:
         formula = series.odd_square_product_poly(args.n)
         report["expected"] = {d: c for d, c in sorted(formula.items()) if c}
         report["match"] = got == report["expected"]
@@ -192,12 +213,14 @@ def cmd_bockstein(args) -> int:
 
 
 def cmd_bound(args) -> int:
+    _at_least(args.n, 0)
     rep = keel.betti_upper_bound(args.n)
     _emit(rep, args)
     return 0 if rep["equal"] else 1
 
 
 def cmd_pairing(args) -> int:
+    _at_least(args.n, 1)
     rep = operad.triangular_pairing_certificate(args.n)
     _emit(rep, args)
     return 0 if rep["triangular"] else 1
@@ -205,22 +228,10 @@ def cmd_pairing(args) -> int:
 
 def cmd_cooperad_check(args) -> int:
     import random
+    _at_least(args.trials, 0, "--trials")
     rng = random.Random(args.seed)
-    ok = True
-    trials = []
-    for _ in range(args.trials):
-        ns = rng.randint(4, 7)
-        nt = rng.randint(1, 3)
-        nu = rng.randint(1, 2)
-        fmap = {i + 1: 100 + rng.randint(1, nt) for i in range(ns)}
-        tgt = tuple(100 + i for i in range(1, nt + 1))
-        gmap = {t: 200 + rng.randint(1, nu) for t in tgt}
-        utgt = tuple(200 + i for i in range(1, nu + 1))
-        f = operad.FiniteMap.make(fmap, tgt)
-        g = operad.FiniteMap.make(gmap, utgt)
-        good = operad.coassociativity_check(f, g)
-        trials.append(good)
-        ok = ok and good
+    ok = all([operad.coassociativity_check(*operad.random_composable_pair(rng))
+              for _ in range(args.trials)])
     rel = all(operad.relations_map_to_relations(
         operad.FiniteMap.make({i + 1: 100 + (i % 2) + 1 for i in range(5)},
                               (101, 102)), flavor)
@@ -244,7 +255,9 @@ def cmd_jacobi(args) -> int:
 
 
 def cmd_dual(args) -> int:
-    rep = quadratic_dual.koszul_numerator_check(args.n, args.degree or 3)
+    _at_least(args.n, 1)
+    _at_least(args.degree, 0, "--degree")
+    rep = quadratic_dual.koszul_numerator_check(args.n, args.degree)
     if args.n <= 7:
         rep["span_match"] = quadratic_dual.dual_span_matches_explicit(args.n)
     _emit(rep, args)
@@ -360,10 +373,10 @@ def main(argv=None) -> int:
         args.jobs = int(os.environ.get("FORESTALG_JOBS", "1"))
     try:
         return args.fn(args)
-    except (ValueError, KeyError, json.JSONDecodeError) as exc:
+    except (ValueError, KeyError, json.JSONDecodeError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except AssertionError as exc:
+    except (AssertionError, ArithmeticError) as exc:
         print(f"invariant failure: {exc}", file=sys.stderr)
         return 1
 

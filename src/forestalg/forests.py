@@ -230,12 +230,6 @@ class NotBasicError(ValueError):
     pass
 
 
-def _component_data(g: TriangleGraph):
-    parts = components(g)
-    by_part = _split_edges_by_part(parts, g.sorted_edges)
-    return list(zip(parts, by_part))
-
-
 def _root_and_split(comp_vertices, comp_edges):
     a, b = comp_vertices[0], comp_vertices[1]
     root = next((e for e in comp_edges if a in e and b in e), None)

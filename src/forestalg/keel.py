@@ -19,11 +19,11 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import combinations
-from math import factorial
 
-from .forests import partition_of_edges
+from .forests import _union_find_components
 from .linalg import BitEchelon
-from .series import keel_betti_polynomial, odd_square_product_poly
+from .series import (assemble_partitions, keel_betti_polynomial,
+                     odd_square_product_poly)
 
 
 Monomial = tuple  # sorted tuple of (support_id, exponent), exponent > 0
@@ -46,9 +46,6 @@ class KeelRing:
         self._anchored_cache: dict[tuple, list] = {}
         self._canonical_cache: list[Monomial] | None = None
         self.rewrite_step_limit = 200_000
-
-    def support_of(self, sid: int) -> frozenset:
-        return self.supports[sid]
 
     def monomial(self, sets_with_exps) -> Monomial | None:
         """Monomial from {set: exp}; None encodes zero (a size-2 support)."""
@@ -302,9 +299,10 @@ class KeelRing:
     # -- gradings ------------------------------------------------------------
 
     def partition_grading(self, m: Monomial) -> tuple:
+        """Components of the support union: parts sorted, by minimum."""
         edges = [tuple(sorted(self.supports[sid])) for sid, _ in m]
-        hyper = [tuple(s) for s in edges]
-        return _components_of_sets(hyper, self.labels)
+        parts = _union_find_components(self.labels, edges)
+        return tuple(sorted(parts, key=lambda p: p[0]))
 
     def connected_block(self, degree: int | None = None) -> list[Monomial]:
         """Canonical monomials whose support union spans all labels in one
@@ -327,75 +325,43 @@ class _GrevKey:
         return self.ring.grevlex_less(self.m, other.m)
 
 
-def _components_of_sets(sets, labels) -> tuple:
-    parent = {v: v for v in labels}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for s in sets:
-        a = find(s[0])
-        for v in s[1:]:
-            b = find(v)
-            if b != a:
-                parent[b] = a
-    groups: dict = {}
-    for v in labels:
-        groups.setdefault(find(v), []).append(v)
-    return tuple(sorted((tuple(sorted(g)) for g in groups.values()),
-                        key=lambda p: p[0]))
-
-
 # ---------------------------------------------------------------------------
 # change of generators on the degree-1 part
+
+
+def _minus_superset_sum(n: int, coords: dict, w: int) -> dict:
+    """{S: c} -> -sum_S c sum_{S subset T} w^(|T|-|S|) T, over supports
+    inside {1..n} of sizes 2..n."""
+    labels = frozenset(range(1, n + 1))
+    out: dict[frozenset, int] = {}
+    for s, c in coords.items():
+        s = frozenset(s)
+        if 0 in s:
+            raise ValueError("indices must avoid the distinguished point 0")
+        if not (2 <= len(s) <= n and s <= labels):
+            raise ValueError(f"bad support {sorted(s)}")
+        rest = sorted(labels - s)
+        for k in range(len(rest) + 1):
+            sc = c * w ** k
+            for extra in combinations(rest, k):
+                t = s | frozenset(extra)
+                v = out.get(t, 0) - sc
+                if v:
+                    out[t] = v
+                else:
+                    out.pop(t, None)
+    return out
 
 
 def pi_from_d(n: int, d_coords: dict[frozenset, int]) -> dict[frozenset, int]:
     """Degree-1 change of basis: D_S = -sum_{S subset T} (-1)^(|T|-|S|) P_T,
     applied linearly to {S: coeff} (supports inside {1..n}, sizes 2..n)."""
-    labels = frozenset(range(1, n + 1))
-    out: dict[frozenset, int] = {}
-    for s, c in d_coords.items():
-        s = frozenset(s)
-        if 0 in s:
-            raise ValueError("indices must avoid the distinguished point 0")
-        if not (2 <= len(s) <= n and s <= labels):
-            raise ValueError(f"bad support {sorted(s)}")
-        rest = sorted(labels - s)
-        for k in range(len(rest) + 1):
-            for extra in combinations(rest, k):
-                t = s | frozenset(extra)
-                v = out.get(t, 0) - c * (-1) ** ((len(t) - len(s)) & 1)
-                if v:
-                    out[t] = v
-                else:
-                    out.pop(t, None)
-    return out
+    return _minus_superset_sum(n, d_coords, -1)
 
 
 def d_from_pi(n: int, pi_coords: dict[frozenset, int]) -> dict[frozenset, int]:
     """Inverse change of basis: P_S = -sum_{S subset T} D_T."""
-    labels = frozenset(range(1, n + 1))
-    out: dict[frozenset, int] = {}
-    for s, c in pi_coords.items():
-        s = frozenset(s)
-        if 0 in s:
-            raise ValueError("indices must avoid the distinguished point 0")
-        if not (2 <= len(s) <= n and s <= labels):
-            raise ValueError(f"bad support {sorted(s)}")
-        rest = sorted(labels - s)
-        for k in range(len(rest) + 1):
-            for extra in combinations(rest, k):
-                t = s | frozenset(extra)
-                v = out.get(t, 0) - c
-                if v:
-                    out[t] = v
-                else:
-                    out.pop(t, None)
-    return out
+    return _minus_superset_sum(n, pi_coords, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -438,8 +404,12 @@ def beta_twisted(ring: KeelRing, poly: dict[Monomial, int]) -> dict[Monomial, in
     return out
 
 
-def _differential_dims(layers: dict[int, list[Monomial]], apply_d) -> dict[int, int]:
-    """dim ker/im per degree for a degree-+1 differential over F_2."""
+def _differential_dims(ring: KeelRing, monomials, apply_d) -> dict[int, int]:
+    """dim ker/im per degree for a degree-+1 differential over F_2 on the
+    span of the given monomials."""
+    layers: dict[int, list[Monomial]] = {}
+    for mono in sorted(monomials):
+        layers.setdefault(ring.degree(mono), []).append(mono)
     index = {d: {m: i for i, m in enumerate(ms)} for d, ms in layers.items()}
     ranks: dict[int, int] = {}
     for d in sorted(layers):
@@ -465,56 +435,16 @@ def hbeta_connected_block(m: int) -> tuple:
     ((degree, dim), ...); zero for even m, one-dimensional in degree
     (m-1)/2 for odd m (the certified computation, not the assertion)."""
     ring = KeelRing(m)
-    block = ring.connected_block()
-    layers: dict[int, list[Monomial]] = {}
-    for mono in block:
-        layers.setdefault(ring.degree(mono), []).append(mono)
-    for d in list(layers):
-        layers[d] = sorted(layers[d])
-    dims = _differential_dims(layers, lambda p: beta(ring, p))
+    dims = _differential_dims(ring, ring.connected_block(),
+                              lambda p: beta(ring, p))
     return tuple(sorted((d, v) for d, v in dims.items() if v))
 
 
 def assembled_hbeta_dims(n: int) -> dict[int, int]:
     """H_beta dimensions of the full mod-2 ring on n labels, assembled over
     the partition grading (tensor product over parts, convolving degrees)."""
-    from .lambda_alg import _partition_count
-
-    def vectors(total_labels):
-        pairs = []
-        for s in range(3, total_labels + 1):
-            vec = dict(hbeta_connected_block(s))
-            pairs.append((s, vec))
-        return pairs
-
-    per_size = dict(vectors(n))
-    out: dict[int, int] = {0: 1}
-
-    def rec(min_size: int, labels_left: int, acc_vec: dict[int, int],
-            sizes: list[int], mults: dict):
-        count = _partition_count(n, sizes, mults)
-        if sizes:
-            for d, v in acc_vec.items():
-                out[d] = out.get(d, 0) + v * count
-        for s in range(max(3, min_size), labels_left + 1):
-            block = per_size.get(s, {})
-            if not block:
-                continue
-            conv: dict[int, int] = {}
-            for d1, v1 in acc_vec.items():
-                for d2, v2 in block.items():
-                    conv[d1 + d2] = conv.get(d1 + d2, 0) + v1 * v2
-            sizes.append(s)
-            key = s
-            mults[key] = mults.get(key, 0) + 1
-            rec(s, labels_left - s, conv, sizes, mults)
-            mults[key] -= 1
-            if not mults[key]:
-                del mults[key]
-            sizes.pop()
-
-    rec(3, n, {0: 1}, [], {})
-    return {d: v for d, v in sorted(out.items()) if v}
+    return assemble_partitions(
+        n, {s: dict(hbeta_connected_block(s)) for s in range(3, n + 1)})
 
 
 def bockstein_cohomology(n: int, twisted: bool = False) -> dict[int, int]:
@@ -526,12 +456,8 @@ def bockstein_cohomology(n: int, twisted: bool = False) -> dict[int, int]:
     if not twisted:
         return assembled_hbeta_dims(n)
     ring = KeelRing(n)
-    layers: dict[int, list[Monomial]] = {}
-    for mono in ring.canonical_monomials():
-        layers.setdefault(ring.degree(mono), []).append(mono)
-    for d in list(layers):
-        layers[d] = sorted(layers[d])
-    dims = _differential_dims(layers, lambda p: beta_twisted(ring, p))
+    dims = _differential_dims(ring, ring.canonical_monomials(),
+                              lambda p: beta_twisted(ring, p))
     return {d: v for d, v in sorted(dims.items()) if v}
 
 

@@ -16,14 +16,14 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import combinations, permutations
-from math import factorial
 
 from . import forests
 from .forests import TriangleGraph
 from .linalg import FieldEchelon, smith_divisors
 from .rings import GF2, QQ, ZZ
+from .series import assemble_partitions, odd_square_product_poly
 from .skewpoly import (GeneratorUniverse, SkewPoly, ideal_slice,
-                       mul_monomials, quotient_dimension)
+                       quotient_dimension)
 
 
 VARIANTS = ("quad", "tri", "twisted")
@@ -156,10 +156,6 @@ def _relations_cached(variant: str, labels: tuple) -> list[SkewPoly]:
                    + p.term((m, i, j)) * p.term((j, k, l)))
             push(rel)
     return out
-
-
-def build_relations(p: Presentation) -> list[SkewPoly]:
-    return p.relations()
 
 
 # ---------------------------------------------------------------------------
@@ -334,65 +330,18 @@ def _assert_cyclic_block_dies(size: int, edges: int) -> None:
                 "did not rewrite to zero")
 
 
-def _component_type_assignments(total_labels: int, degree: int):
-    """Multisets of (size, edges) pairs for the non-singleton components of a
-    degree-d monomial: size >= 3, edges >= ceil((size-1)/2) forced by
-    connectivity... (actually edges >= (size-1)/2, at least 1), sum of edges
-    = degree, sum of sizes <= total_labels.  Yields sorted tuples of pairs."""
-    pairs = []
-    for s in range(3, total_labels + 1):
-        min_e = (s - 1 + 1) // 2  # connected spanning needs >= ceil((s-1)/2)
-        for e in range(max(1, min_e), degree + 1):
-            if 3 * e >= s:  # e edges cover at most 3e vertices
-                pairs.append((s, e))
-
-    out = []
-
-    def rec(start: int, labels_left: int, degree_left: int, acc: list):
-        if degree_left == 0:
-            out.append(tuple(acc))
-            return
-        for idx in range(start, len(pairs)):
-            s, e = pairs[idx]
-            if s <= labels_left and e <= degree_left:
-                acc.append((s, e))
-                rec(idx, labels_left - s, degree_left - e, acc)
-                acc.pop()
-
-    rec(0, total_labels, degree, [])
-    return out
-
-
-def _partition_count(total: int, sizes: list[int], mults: dict) -> int:
-    used = sum(sizes)
-    num = factorial(total)
-    den = factorial(total - used)
-    for s in sizes:
-        den *= factorial(s)
-    for m in mults.values():
-        den *= factorial(m)
-    return num // den
-
-
 def assembled_dimension(variant: str, n_labels: int, degree: int) -> int:
     """Degree-d quotient dimension on n labels, assembled over the partition
-    grading from cached connected-block dimensions."""
-    if degree == 0:
-        return 1
-    total = 0
-    for assignment in _component_type_assignments(n_labels, degree):
-        dims = 1
-        for s, e in assignment:
-            dims *= block_dimension(variant, s, e)
-            if dims == 0:
-                break
-        if dims == 0:
-            continue
-        mults: dict = {}
-        for pair in assignment:
-            mults[pair] = mults.get(pair, 0) + 1
-        total += dims * _partition_count(n_labels, [s for s, _ in assignment], mults)
-    return total
+    grading from cached connected-block dimensions.
+
+    A block below degree d contributes only next to a second non-singleton
+    part, which needs three more labels; blocks that cannot reach degree d
+    are not computed."""
+    blocks = {s: {e: block_dimension(variant, s, e)
+                  for e in range(max(1, s // 2), degree + 1)
+                  if 3 * e >= s and (e == degree or s + 3 <= n_labels)}
+              for s in range(3, n_labels + 1)}
+    return assemble_partitions(n_labels, blocks).get(degree, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -435,17 +384,6 @@ def _quad_linear_data(n: int):
     return subst, tuple(divisors)
 
 
-def _substitute_quad_poly(p: SkewPoly, subst, ring=ZZ) -> SkewPoly:
-    out = SkewPoly.zero(ring)
-    for m, c in p.terms.items():
-        acc = SkewPoly.one(ring).scale(c)
-        for gid in m:
-            factor = SkewPoly(ring, {(tg,): v for tg, v in subst[gid].items()})
-            acc = acc * factor
-        out = out + acc
-    return out
-
-
 @lru_cache(maxsize=None)
 def quad_tri_span_match(n: int) -> bool:
     """The substituted quad quadratic relations and the tri relations span
@@ -453,14 +391,14 @@ def quad_tri_span_match(n: int) -> bool:
     this transports every degree >= 2 dimension between the presentations."""
     if n < 5:
         return True  # no quadratic relations on either side below five labels
-    subst, divisors = _quad_linear_data(n)
+    _, divisors = _quad_linear_data(n)
     if any(d != 1 for d in divisors):
         return False
     quad = Presentation("quad", range(1, n + 1))
     tri = Presentation("tri", range(1, n))
     left = FieldEchelon(None)
     for r in quad.quadratic_relations():
-        q = _substitute_quad_poly(r, subst)
+        q = quad_to_tri(r, quad, tri)
         left.add({_colkey(m): c for m, c in q.terms.items()})
     right = FieldEchelon(None)
     for r in tri.relations():
@@ -487,8 +425,6 @@ def hilbert_polynomial(p: Presentation, check_formula: bool = True) -> list[int]
     linear relations first (degree 1 directly, higher degrees through the
     verified span match with the tri presentation).
     """
-    from .series import odd_square_product_poly
-
     if p.variant in ("tri", "twisted"):
         m = p.n
         expected = odd_square_product_poly(m)
@@ -541,32 +477,30 @@ def expected_euler_characteristic(n: int) -> int:
 # isomorphism between the quad and tri presentations
 
 
-def tri_to_quad(x: SkewPoly, tri: Presentation, quad: Presentation) -> SkewPoly:
-    """Three-index generator (i,j,k) on labels {1..n-1} maps to the four-index
-    generator (i,j,k,n)."""
-    n = quad.n
+def _substitute(x: SkewPoly, image) -> SkewPoly:
+    """The ring map sending each generator gid to the polynomial image(gid)."""
     out = SkewPoly.zero(x.ring)
     for m, c in x.terms.items():
         acc = SkewPoly.one(x.ring).scale(c)
         for gid in m:
-            tup = tri.universe.label_tuple(gid)
-            acc = acc * quad.term(tup + (n,), ring=x.ring)
+            acc = acc * image(gid)
         out = out + acc
     return out
+
+
+def tri_to_quad(x: SkewPoly, tri: Presentation, quad: Presentation) -> SkewPoly:
+    """Three-index generator (i,j,k) on labels {1..n-1} maps to the four-index
+    generator (i,j,k,n)."""
+    return _substitute(x, lambda gid: quad.term(
+        tri.universe.label_tuple(gid) + (quad.n,), ring=x.ring))
 
 
 def quad_to_tri(x: SkewPoly, quad: Presentation, tri: Presentation) -> SkewPoly:
     """Inverse on generators: solve the unique 5-term linear relation through
     the top label for generators not containing it."""
     subst, _ = _quad_linear_data(quad.n)
-    ring = x.ring
-    out = SkewPoly.zero(ring)
-    for m, c in x.terms.items():
-        acc = SkewPoly.one(ring).scale(c)
-        for gid in m:
-            acc = acc * SkewPoly(ring, {(tg,): v for tg, v in subst[gid].items()})
-        out = out + acc
-    return out
+    return _substitute(x, lambda gid: SkewPoly(
+        x.ring, {(tg,): v for tg, v in subst[gid].items()}))
 
 
 # ---------------------------------------------------------------------------

@@ -349,24 +349,31 @@ class _SparseMat:
             self.delete_row(rid)
 
 
-def smith_divisors(rows) -> tuple[int, list[int]]:
-    """(rank, elementary divisors) of the integer matrix given by sparse rows.
+def _eliminate(rows, track: bool = False) -> tuple[list[int], list[dict]]:
+    """Unimodular sparse elimination of the integer matrix given by rows.
 
     Unit pivots go first (sparsest row holding a +-1, breaking ties toward the
     thinnest column); the rare unit-free remainder is handled by gcd reduction
-    inside the column of the minimal entry.  Row and column operations are
-    both unimodular, so the recorded diagonal determines the cokernel; it is
-    normalized to the Smith divisibility chain at the end.
+    inside the column, then the row, of the minimal entry.  Row and column
+    operations are both unimodular, and column operations leave the kernel of
+    e_i -> rows[i] alone.  Returns the diagonal of pivots taken, in order,
+    and, when ``track`` is set, a basis of that kernel lattice: the transforms
+    on [M | I] of the rows whose M-part hits zero (otherwise an empty list).
     """
     mat = _SparseMat(rows)
     diagonal: list[int] = []
+    transforms: dict[int, dict[int, int]] = {}
+    kernel: list[dict] = []
+    if track:
+        for i in range(len(rows)):
+            if i in mat.rows:
+                transforms[i] = {i: 1}
+            else:
+                kernel.append({i: 1})  # empty image row
 
     # size buckets over rows that contain a unit entry (the common case)
     unit_buckets: dict[int, dict[int, None]] = {}
     bucket_of: dict[int, int] = {}
-
-    def has_unit(row: dict) -> bool:
-        return any(v == 1 or v == -1 for v in row.values())
 
     def file_row(rid: int) -> None:
         old = bucket_of.pop(rid, None)
@@ -377,52 +384,79 @@ def smith_divisors(rows) -> tuple[int, list[int]]:
                 if not b:
                     del unit_buckets[old]
         row = mat.rows.get(rid)
-        if row is not None and has_unit(row):
-            size = len(row)
-            unit_buckets.setdefault(size, {})[rid] = None
-            bucket_of[rid] = size
+        if row is not None and any(v == 1 or v == -1 for v in row.values()):
+            unit_buckets.setdefault(len(row), {})[rid] = None
+            bucket_of[rid] = len(row)
+
+    def clear_column(rid: int, c: int, column: list[int]) -> None:
+        """Subtract multiples of row rid from the other rows of column c."""
+        piv = mat.rows[rid]
+        pt = transforms.get(rid)
+        pv = piv[c]
+        for other in column:
+            if other == rid or other not in mat.rows:
+                continue
+            q = mat.rows[other][c] // pv
+            if not q:
+                continue
+            mat.row_sub(other, piv, q)
+            file_row(other)
+            if track:
+                t = transforms[other]
+                for k, v in pt.items():
+                    nv = t.get(k, 0) - q * v
+                    if nv:
+                        t[k] = nv
+                    else:
+                        t.pop(k, None)
+                if other not in mat.rows:
+                    kernel.append(transforms.pop(other))
 
     for rid in mat.rows:
         file_row(rid)
 
     while mat.rows:
         if unit_buckets:
-            size = min(unit_buckets)
-            rid = next(iter(unit_buckets[size]))
+            rid = next(iter(unit_buckets[min(unit_buckets)]))
             row = mat.rows[rid]
-            c = min((cc for cc, v in row.items() if v in (1, -1)),
+            c = min((cc for cc, v in row.items() if v == 1 or v == -1),
                     key=lambda cc: (len(mat.col_rows[cc]), cc))
-            piv = dict(row)
-            pv = piv[c]
-            touched = sorted(mat.col_rows.get(c, set()) - {rid})
-            for other in touched:
-                if other in mat.rows:
-                    mat.row_sub(other, piv, mat.rows[other][c] // pv)
-            mat.delete_row(rid)
-            file_row(rid)
-            for other in touched:
-                file_row(other)
-            diagonal.append(1)
-            continue
-        # no unit entry left: gcd-reduce the column holding the smallest entry
-        rid, c = min(((r, cc) for r, row in mat.rows.items() for cc in row),
-                     key=lambda rc: (abs(mat.rows[rc[0]][rc[1]]), rc))
-        column = sorted(mat.col_rows[c])
-        if len(column) == 1:
-            diagonal.append(abs(mat.rows[rid][c]))
-            mat.delete_row(rid)
-            file_row(rid)
-            continue
-        piv = dict(mat.rows[rid])
-        pv = piv[c]
-        for other in column:
-            if other == rid or other not in mat.rows:
+            column = sorted(mat.col_rows[c])
+        else:
+            # no unit entry left: gcd-reduce the column, then the row, of the
+            # smallest entry until that entry is alone in both
+            rid, c = min(((r, cc) for r, row in mat.rows.items() for cc in row),
+                         key=lambda rc: (abs(mat.rows[rc[0]][rc[1]]), rc))
+            column = sorted(mat.col_rows[c])
+            if len(column) > 1:
+                clear_column(rid, c, column)
                 continue
-            q = mat.rows[other][c] // pv
-            mat.row_sub(other, piv, q)
-            file_row(other)
+            row = mat.rows[rid]
+            if len(row) > 1:
+                # c is alone in its column, so each column operation
+                # col_k -= q * col_c changes this row only
+                pv = row[c]
+                mat.row_sub(rid, {k: v // pv * pv for k, v in row.items()
+                                  if k != c}, 1)
+                if len(row) > 1:
+                    file_row(rid)
+                    continue
+        clear_column(rid, c, column)
+        diagonal.append(abs(mat.rows[rid][c]))
+        mat.delete_row(rid)
         file_row(rid)
+        transforms.pop(rid, None)  # pivot row: not a kernel element
+    return diagonal, kernel
 
+
+def smith_divisors(rows) -> tuple[int, list[int]]:
+    """(rank, elementary divisors) of the integer matrix given by sparse rows.
+
+    Row and column operations of the elimination are both unimodular, so its
+    diagonal determines the cokernel; it is normalized to the Smith
+    divisibility chain here.
+    """
+    diagonal, _ = _eliminate(rows)
     rank = len(diagonal)
     # a unit divides everything, so only the non-unit entries need the
     # pairwise fix-up into a divisibility chain
@@ -438,135 +472,9 @@ def smith_divisors(rows) -> tuple[int, list[int]]:
 
 
 def kernel_basis_fast(rows: list[dict]) -> list[dict]:
-    """Basis of the integer kernel lattice of e_i -> rows[i], by unit-pivot
-    elimination with sparsity-driven pivoting and transform tracking.
-
-    All operations are unimodular row combinations on [M | I]; transforms of
-    rows whose M-part hits zero form a lattice basis of the kernel.  Orders of
-    magnitude faster than the leading-column version on the {0,+-1} boundary
-    matrices this package produces.
-    """
-    mat = _SparseMat(rows)
-    transforms: dict[int, dict[int, int]] = {}
-    kernel: list[dict] = []
-    for i in range(len(rows)):
-        if i in mat.rows:
-            transforms[i] = {i: 1}
-        else:
-            kernel.append({i: 1})  # empty image row
-
-    def trans_sub(rid: int, src: dict, factor: int) -> None:
-        t = transforms[rid]
-        for c, v in src.items():
-            nv = t.get(c, 0) - factor * v
-            if nv:
-                t[c] = nv
-            else:
-                t.pop(c, None)
-
-    unit_buckets: dict[int, dict[int, None]] = {}
-    bucket_of: dict[int, int] = {}
-
-    def file_row(rid: int) -> None:
-        old = bucket_of.pop(rid, None)
-        if old is not None:
-            b = unit_buckets.get(old)
-            if b is not None:
-                b.pop(rid, None)
-                if not b:
-                    del unit_buckets[old]
-        row = mat.rows.get(rid)
-        if row is not None and any(v in (1, -1) for v in row.values()):
-            unit_buckets.setdefault(len(row), {})[rid] = None
-            bucket_of[rid] = len(row)
-
-    def check_emptied(rid: int) -> None:
-        if rid not in mat.rows and rid in transforms:
-            kernel.append(transforms.pop(rid))
-
-    for rid in mat.rows:
-        file_row(rid)
-
-    while mat.rows:
-        if unit_buckets:
-            size = min(unit_buckets)
-            rid = next(iter(unit_buckets[size]))
-            row = mat.rows[rid]
-            c = min((cc for cc, v in row.items() if v in (1, -1)),
-                    key=lambda cc: (len(mat.col_rows[cc]), cc))
-            piv = dict(row)
-            pt = dict(transforms[rid])
-            pv = piv[c]
-            touched = sorted(mat.col_rows.get(c, set()) - {rid})
-            for other in touched:
-                if other in mat.rows:
-                    factor = mat.rows[other][c] // pv
-                    mat.row_sub(other, piv, factor)
-                    trans_sub(other, pt, factor)
-            mat.delete_row(rid)
-            file_row(rid)
-            transforms.pop(rid, None)  # pivot row: not a kernel element
-            for other in touched:
-                file_row(other)
-                check_emptied(other)
-            continue
-        # gcd phase inside the column of the smallest remaining entry
-        rid, c = min(((r, cc) for r, row in mat.rows.items() for cc in row),
-                     key=lambda rc: (abs(mat.rows[rc[0]][rc[1]]), rc))
-        column = sorted(mat.col_rows[c])
-        if len(column) == 1:
-            mat.delete_row(rid)
-            file_row(rid)
-            transforms.pop(rid, None)
-            continue
-        piv = dict(mat.rows[rid])
-        pt = dict(transforms[rid])
-        pv = piv[c]
-        for other in column:
-            if other == rid or other not in mat.rows:
-                continue
-            q = mat.rows[other][c] // pv
-            if q:
-                mat.row_sub(other, piv, q)
-                trans_sub(other, pt, q)
-                file_row(other)
-                check_emptied(other)
-        file_row(rid)
-    return kernel
-
-
-def kernel_basis_ZZ(rows: list[dict]) -> list[dict]:
-    """Basis of the integer kernel lattice of the map e_i -> rows[i].
-
-    Unimodular row reduction of [M | I]; the transforms of rows whose M-part
-    vanishes form a lattice basis of the kernel.
-    """
-    pivots: dict[int, tuple[dict, dict]] = {}
-    kernel: list[dict] = []
-    for i, r in enumerate(rows):
-        v = {c: int(x) for c, x in r.items() if x}
-        w = {i: 1}
-        placed = False
-        while v:
-            c = min(v)
-            entry = pivots.get(c)
-            if entry is None:
-                pivots[c] = (v, w)
-                placed = True
-                break
-            pv, pw = entry
-            a, b = pv[c], v[c]
-            if b % a == 0:
-                q = b // a
-                v = _row_sub(v, pv, q)
-                w = _row_sub(w, pw, q)
-                continue
-            g, x, y = _xgcd(a, b)
-            pivots[c] = (_row_comb(pv, x, v, y), _row_comb(pw, x, w, y))
-            v, w = _row_comb(pv, -(b // g), v, a // g), _row_comb(pw, -(b // g), w, a // g)
-        if not placed and not v:
-            kernel.append(w)
-    return kernel
+    """Basis of the integer kernel lattice of e_i -> rows[i], from the same
+    unit-first elimination run with transform tracking."""
+    return _eliminate(rows, track=True)[1]
 
 
 class BasisSolver:
@@ -628,12 +536,3 @@ class BasisSolver:
             return None
         # the residual is vector + sum(combo_k * basis_k) = 0
         return [-combo.get(k, Fraction(0)) for k in range(self.nbasis)]
-
-
-def coordinates_in_basis(vector: dict, basis: list[dict]) -> list[Fraction] | None:
-    """Coordinates of vector in the span of the (independent) basis rows.
-
-    Solved over Q; returns None when the vector is outside the span.  For
-    repeated solves against one basis use BasisSolver directly.
-    """
-    return BasisSolver(basis).coordinates(vector)

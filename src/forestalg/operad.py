@@ -15,8 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations, permutations
 
-from .forests import TernaryForest, TriangleGraph, tree_internal_nodes, tree_leaves
-from .lambda_alg import Presentation, degree_slice, forest_normal_form
+from .forests import TernaryForest, _eval_sign, tree_internal_nodes, tree_leaves
+from .lambda_alg import Presentation, degree_slice
 from .rings import QQ, ZZ
 from .skewpoly import SkewPoly, mul_monomials, perm_sign
 
@@ -192,6 +192,20 @@ def relations_map_to_relations(f: FiniteMap, flavor: str = "quad") -> bool:
     return True
 
 
+def random_composable_pair(rng) -> tuple[FiniteMap, FiniteMap]:
+    """A random composable pair f: {1..s} -> T, g: T -> U with 4 <= s <= 7,
+    |T| <= 3 and |U| <= 2, drawn from the ``random.Random`` rng in a fixed
+    order (a seed gives the same pairs everywhere)."""
+    ns = rng.randint(4, 7)
+    nt = rng.randint(1, 3)
+    nu = rng.randint(1, 2)
+    fmap = {i + 1: 100 + rng.randint(1, nt) for i in range(ns)}
+    tgt = tuple(100 + i for i in range(1, nt + 1))
+    gmap = {t: 200 + rng.randint(1, nu) for t in tgt}
+    utgt = tuple(200 + i for i in range(1, nu + 1))
+    return FiniteMap.make(fmap, tgt), FiniteMap.make(gmap, utgt)
+
+
 def coassociativity_check(f: FiniteMap, g: FiniteMap) -> bool:
     """(Delta_g tensor 1) Delta_f == (1 tensor product of Delta_(f_u)) after
     Delta_(g o f), on every four-index generator, with slots aligned as
@@ -325,14 +339,6 @@ def eta_split_roundtrip(f: FiniteMap, fiber_monomials: dict) -> bool:
 
 # ---------------------------------------------------------------------------
 # evaluation of forest functionals (the dual operad)
-
-
-def _eval_sign(degrees) -> int:
-    total = 0
-    for i in range(len(degrees)):
-        for j in range(i + 1, len(degrees)):
-            total += degrees[i] * degrees[j]
-    return -1 if total & 1 else 1
 
 
 def _child_support(child) -> tuple:

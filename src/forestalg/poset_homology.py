@@ -255,7 +255,10 @@ def whitney_homology(n: int) -> dict:
     maps.  Verifies the differential squares to zero on cycle bases and that
     the sequence 0 -> W_R -> ... -> W_1 -> W_0 -> 0 is exact over Z: at each
     spot the image lattice equals the kernel lattice (rank equality plus
-    Hermite membership, the unit-elementary-divisor certificate)."""
+    Hermite membership, the unit-elementary-divisor certificate).  The first
+    sequence is at n = 2; n = 1 has no nontrivial one."""
+    if n < 2:
+        raise ValueError("n must be >= 2")
     poset = OddPartitionPoset(n)
     R = poset.max_rank
     by_rank: dict[int, list] = {r: [] for r in range(R + 1)}

@@ -20,14 +20,15 @@ fast path with exact rational elimination for the small/promoted cases.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
-from itertools import combinations
+from functools import lru_cache, reduce
+from itertools import combinations, product
 from math import gcd
+from operator import or_
 
 from .forests import partition_of_edges
-from .lambda_alg import Presentation, _partition_count
+from .lambda_alg import Presentation
 from .linalg import FieldEchelon
-from .series import odd_square_product_poly
+from .series import assemble_partitions, odd_square_product_poly
 
 
 FAST_PRIME = 2 ** 31 - 1
@@ -175,27 +176,17 @@ def dual_block_dimension(m: int, d: int, p: int | None = FAST_PRIME) -> int:
     D = len(triples)
     masks = [sum(1 << (v - 1) for v in t) for t in triples]
     full = (1 << m) - 1
-    words: list[tuple] = []
-
-    def rec(prefix: tuple, mask: int, left: int):
-        if left == 0:
-            if mask == full and len(
-                    partition_of_edges([triples[g] for g in prefix],
-                                       labels)) == 1:
-                words.append(prefix)
-            return
-        for g in range(D):
-            rec(prefix + (g,), mask | masks[g], left - 1)
-
-    rec((), 0, d)
+    words = [w for w in product(range(D), repeat=d)
+             if reduce(or_, (masks[g] for g in w)) == full
+             and len(partition_of_edges([triples[g] for g in w], labels)) == 1]
     index = {w: i for i, w in enumerate(words)}
     ech = FieldEchelon(p)
     relations = explicit_dual_rows(labels)
     rel_pairs = [[(divmod(c, D), v) for c, v in r.items()] for r in relations]
     for pairs in rel_pairs:
         for i in range(d - 1):
-            for u in _all_words(D, i):
-                for w in _all_words(D, d - 2 - i):
+            for u in product(range(D), repeat=i):
+                for w in product(range(D), repeat=d - 2 - i):
                     row: dict[int, int] = {}
                     outside = 0
                     for (a, b), v in pairs:
@@ -214,15 +205,6 @@ def dual_block_dimension(m: int, d: int, p: int | None = FAST_PRIME) -> int:
                     if row:
                         ech.add(row)
     return len(words) - ech.rank
-
-
-def _all_words(D: int, length: int):
-    if length == 0:
-        yield ()
-        return
-    for g in range(D):
-        for rest in _all_words(D, length - 1):
-            yield (g,) + rest
 
 
 def un_dimension(n: int, d: int, exact: bool | None = None) -> int:
@@ -245,45 +227,13 @@ def un_dimension(n: int, d: int, exact: bool | None = None) -> int:
     if exact is None:
         exact = n <= 6
     p = None if exact else FAST_PRIME
-    total_labels = n - 1
-    total = 0
-    assignments = _block_assignments(total_labels, d)
-    for assignment in assignments:
-        prod = 1
-        for m, dd in assignment:
-            prod *= dual_block_dimension(m, dd, p)
-            if prod == 0:
-                break
-        if prod == 0:
-            continue
-        mults: dict = {}
-        for pair in assignment:
-            mults[pair] = mults.get(pair, 0) + 1
-        total += prod * _partition_count(total_labels, [m for m, _ in assignment], mults)
-    return total
-
-
-def _block_assignments(total_labels: int, degree: int):
-    pairs = []
-    for m in range(3, total_labels + 1):
-        for dd in range(1, degree + 1):
-            if 3 * dd >= m:
-                pairs.append((m, dd))
-    out = []
-
-    def rec(start: int, labels_left: int, degree_left: int, acc: list):
-        if degree_left == 0:
-            out.append(tuple(acc))
-            return
-        for idx in range(start, len(pairs)):
-            m, dd = pairs[idx]
-            if m <= labels_left and dd <= degree_left:
-                acc.append((m, dd))
-                rec(idx, labels_left - m, degree_left - dd, acc)
-                acc.pop()
-
-    rec(0, total_labels, degree, [])
-    return out
+    # as in lambda_alg.assembled_dimension, a block below degree d needs a
+    # second block of at least three more labels
+    blocks = {m: {dd: dual_block_dimension(m, dd, p)
+                  for dd in range(1, d + 1)
+                  if 3 * dd >= m and (dd == d or m + 3 <= n - 1)}
+              for m in range(3, n)}
+    return assemble_partitions(n - 1, blocks).get(d, 0)
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ divisor-class ring, and the functional equation for its monomial count.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 
 
 class SeriesDomainError(ValueError):
@@ -258,6 +258,32 @@ def odd_square_product_poly(m: int) -> dict[int, int]:
         poly = nxt
         k += 1
     return poly
+
+
+def assemble_partitions(n: int, blocks) -> dict[int, int]:
+    """Graded dimension of the tensor product over the parts of every set
+    partition of {1..n}: n! [u^n] exp(u + sum_s B_s(t) u^s / s!).
+
+    ``blocks`` maps a part size s >= 2 to the graded dimension {degree: dim}
+    of the connected block on s labels; a singleton part is the unit (1 in
+    degree 0), and a size left out has no block.  The recurrence is on the
+    part holding label m: a_m = a_{m-1} + sum_s C(m-1, s-1) B_s a_{m-s}.
+    Returns {degree: dim} with the zero dimensions left out, by degree.
+    """
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    a: list[dict[int, int]] = [{0: 1}]
+    for m in range(1, n + 1):
+        cur = dict(a[m - 1])
+        for s, poly in blocks.items():
+            if s > m:
+                continue
+            c = comb(m - 1, s - 1)
+            for d1, v1 in poly.items():
+                for d2, v2 in a[m - s].items():
+                    cur[d1 + d2] = cur.get(d1 + d2, 0) + c * v1 * v2
+        a.append({d: v for d, v in cur.items() if v})
+    return dict(sorted(a[n].items()))
 
 
 def solve_keel_ode(max_order: int) -> TruncatedSeries:

@@ -1,5 +1,6 @@
 import json
 
+from forestalg import keel, quadratic_dual
 from forestalg.cli import main
 
 
@@ -116,3 +117,39 @@ def test_cooperad_check(capsys):
     assert code == 0
     rep = json.loads(out)
     assert rep["coassociativity_all"] and rep["relation_preservation"]
+
+
+def test_degenerate_input_is_a_usage_error(capsys):
+    for argv in (["keel-count", "--n", "5-3"], ["pairing", "--n", "-2"],
+                 ["cooperad-check", "--trials", "-3"],
+                 ["poset-homology", "--n", "1"], ["bockstein", "--n", "-3"],
+                 ["whitney", "--n", "1"], ["hilbert", "--n", "-1"],
+                 ["keel-count", "--n", "3", "--order", "1"],
+                 ["egf", "--order", "1"],
+                 ["dual", "--n", "5", "--degree", "-1"],
+                 ["basis", "--n", "5", "--degree", "-1"]):
+        assert main(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    # the smallest sizes with a nontrivial answer still run
+    code, out = run(capsys, ["whitney", "--n", "2"])
+    assert code == 0 and json.loads(out)["exact"]
+    code, out = run(capsys, ["dual", "--n", "5", "--degree", "0"])
+    assert code == 0 and json.loads(out)["dims"] == [1]
+
+
+def test_step_limit_and_pbw_failures_are_reported(capsys, monkeypatch):
+    def step_limit(n):
+        raise RuntimeError("rewriting exceeded the step limit")
+
+    def pbw(n, up_to_degree):
+        raise ArithmeticError("inconsistent Lie dimension at degree 2: -1")
+
+    monkeypatch.setattr(keel, "canonical_count_report", step_limit)
+    monkeypatch.setattr(quadratic_dual, "koszul_numerator_check", pbw)
+    assert main(["keel-count", "--n", "4"]) == 2
+    assert capsys.readouterr().err == "error: rewriting exceeded the step limit\n"
+    assert main(["dual", "--n", "5"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("invariant failure: ") and err.count("\n") == 1

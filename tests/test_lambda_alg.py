@@ -6,7 +6,7 @@ import pytest
 
 from forestalg import forests
 from forestalg.lambda_alg import (Presentation, basic_forest_complex_homology,
-                                  block_dimension, build_relations,
+                                  block_dimension,
                                   expected_euler_characteristic,
                                   forest_normal_form, hilbert_polynomial,
                                   partition_component_dims, quad_to_tri,
@@ -247,5 +247,5 @@ def test_euler_characteristic():
 
 def test_build_relations_api():
     p = Presentation("quad", range(1, 6))
-    rels = build_relations(p)
+    rels = p.relations()
     assert all(r.is_homogeneous() for r in rels)

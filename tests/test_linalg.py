@@ -8,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from forestalg.linalg import (BasisSolver, BitEchelon, FieldEchelon,
-                              HermiteEchelon, bit_rank, coordinates_in_basis,
-                              field_rank, kernel_basis_ZZ, kernel_basis_fast,
+                              HermiteEchelon, _row_comb, _row_sub, _xgcd,
+                              bit_rank, field_rank, kernel_basis_fast,
                               smith_divisors)
 
 
@@ -100,7 +100,12 @@ def test_smith_divisors_known_matrix():
             ([{0: 1, 1: 2}, {1: 4, 2: 2}, {2: 6, 0: 3}, {3: -1, 1: 2},
               {1: 2, 2: 4}], [1, 1, 2, 6]),
             ([{0: 4, 1: 2}, {0: 2, 1: 4, 2: 1}, {2: 3, 3: 3}, {3: 2}],
-             [1, 1, 2, 36])]:
+             [1, 1, 2, 36]),
+            # the smallest entry 2 is alone in its column but not in its
+            # row: a column operation must reduce the 3 before 2 is a divisor
+            ([{0: 2, 2: 3}, {2: 2}], [1, 4]),
+            ([{2: 2}, {0: 2, 2: 3}], [1, 4]),
+            ([{1: 2, 0: 3}, {0: 2}], [1, 4])]:
         assert smith_divisors(rows) == (len(want), want)
         assert _determinantal_divisors(rows, 5) == want
     # a long unit diagonal around the same 2, 3, 4 block
@@ -113,6 +118,38 @@ def test_smith_divisors_identity_like():
     rank, divisors = smith_divisors([{0: 1, 5: 7}, {1: -1}, {2: 1, 0: 3}])
     assert rank == 3
     assert divisors == [1, 1, 1]
+
+
+def kernel_basis_ZZ(rows: list[dict]) -> list[dict]:
+    """Oracle: basis of the integer kernel lattice of e_i -> rows[i], by
+    leading-column unimodular row reduction of [M | I]; the transforms of rows
+    whose M-part vanishes form a lattice basis of the kernel."""
+    pivots: dict[int, tuple[dict, dict]] = {}
+    kernel: list[dict] = []
+    for i, r in enumerate(rows):
+        v = {c: int(x) for c, x in r.items() if x}
+        w = {i: 1}
+        placed = False
+        while v:
+            c = min(v)
+            entry = pivots.get(c)
+            if entry is None:
+                pivots[c] = (v, w)
+                placed = True
+                break
+            pv, pw = entry
+            a, b = pv[c], v[c]
+            if b % a == 0:
+                q = b // a
+                v = _row_sub(v, pv, q)
+                w = _row_sub(w, pw, q)
+                continue
+            g, x, y = _xgcd(a, b)
+            pivots[c] = (_row_comb(pv, x, v, y), _row_comb(pw, x, w, y))
+            v, w = _row_comb(pv, -(b // g), v, a // g), _row_comb(pw, -(b // g), w, a // g)
+        if not placed and not v:
+            kernel.append(w)
+    return kernel
 
 
 def test_kernel_basis_matches_rank():
@@ -151,7 +188,7 @@ def test_basis_solver_and_coordinates():
     solver = BasisSolver(basis)
     assert solver.coordinates({0: 1, 2: -1}) == [Fraction(1), Fraction(-1)]
     assert solver.coordinates({0: 1}) is None
-    assert coordinates_in_basis({0: 2, 1: 3, 2: 1}, basis) == [Fraction(2), Fraction(1)]
+    assert solver.coordinates({0: 2, 1: 3, 2: 1}) == [Fraction(2), Fraction(1)]
     with pytest.raises(ValueError):
         BasisSolver([{0: 1}, {0: 2}])
 
@@ -232,3 +269,46 @@ def test_field_echelon_matches_fraction_elimination(rows, queries):
     for r in rows[:-1]:
         shorter.add(r)
     assert ech.same_span(fewer) == (len(shorter.pivots) == len(ref.pivots))
+
+
+@st.composite
+def _z_matrices(draw):
+    """Sparse integer rows with entries in -3..3 (zeros and empty rows
+    included); a drawn tail of rows is scaled by 2 or 3, so unit-free blocks
+    reach the gcd phase of the elimination."""
+    rows = draw(st.lists(st.dictionaries(st.integers(0, 6), st.integers(-3, 3),
+                                         max_size=4), max_size=9))
+    tail = draw(st.integers(0, len(rows)))
+    scale = draw(st.sampled_from([1, 2, 3]))
+    return [r if i < tail else {c: scale * v for c, v in r.items()}
+            for i, r in enumerate(rows)]
+
+
+def _lattice(vectors) -> HermiteEchelon:
+    ech = HermiteEchelon()
+    ech.extend(vectors)
+    return ech
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows=_z_matrices(), data=st.data())
+def test_elimination_ranks_kernels_and_invariance(rows, data):
+    rank, divisors = smith_divisors(rows)
+    assert len(divisors) == rank and all(d > 0 for d in divisors)
+    assert all(b % a == 0 for a, b in zip(divisors, divisors[1:]))
+    assert rank == _lattice(rows).rank == field_rank(rows)
+    fast, oracle = kernel_basis_fast(rows), kernel_basis_ZZ(rows)
+    assert rank == len(rows) - len(fast)
+    for vec in fast:
+        image = {}
+        for i, v in vec.items():
+            for c, w in rows[i].items():
+                image[c] = image.get(c, 0) + v * w
+        assert not any(image.values())
+    # the same lattice: each basis lies in the other's Hermite form
+    assert all(_lattice(oracle).contains(v) for v in fast)
+    assert all(_lattice(fast).contains(v) for v in oracle)
+    order = data.draw(st.permutations(range(len(rows))))
+    cols = data.draw(st.permutations(range(7)))
+    permuted = [{cols[c]: v for c, v in rows[i].items()} for i in order]
+    assert smith_divisors(permuted) == (rank, divisors)

@@ -5,7 +5,7 @@ from math import factorial
 import pytest
 
 from forestalg.series import (SeriesDomainError, TruncatedSeries, arcsin_series,
-                              basic_forest_egf, keel_betti_polynomial,
+                              assemble_partitions, basic_forest_egf, keel_betti_polynomial,
                               odd_square_product_poly, series_exp,
                               solve_keel_ode, verify_arcsin_ode,
                               verify_connected_monomial_equation,
@@ -107,3 +107,50 @@ def test_log_pow_t_roundtrip():
     assert series_exp(B.log()) == B
     with pytest.raises(SeriesDomainError):
         A.log()
+
+
+def _set_partitions(labels):
+    if not labels:
+        yield []
+        return
+    first, rest = labels[0], labels[1:]
+    for part in _set_partitions(rest):
+        yield [(first,)] + part
+        for i in range(len(part)):
+            yield part[:i] + [(first,) + part[i]] + part[i + 1:]
+
+
+def test_assemble_partitions_matches_enumeration():
+    rng = random.Random(11)
+    for n in range(8):
+        partitions = list(_set_partitions(tuple(range(1, n + 1))))
+        for _ in range(6):
+            # absent sizes, empty blocks, zero dimensions, degree-0 entries
+            blocks = {}
+            for s in range(2, n + 1):
+                kind = rng.randrange(4)
+                if kind == 1:
+                    blocks[s] = {}
+                elif kind == 2:
+                    blocks[s] = {rng.randint(0, 3): 0}
+                elif kind == 3:
+                    blocks[s] = {rng.randint(0, 4): rng.randint(-2, 5)
+                                 for _ in range(rng.randint(1, 3))}
+            want = {}
+            for part in partitions:
+                prod = {0: 1}
+                for block in part:
+                    poly = {0: 1} if len(block) == 1 else blocks.get(len(block), {})
+                    nxt = {}
+                    for d1, v1 in prod.items():
+                        for d2, v2 in poly.items():
+                            nxt[d1 + d2] = nxt.get(d1 + d2, 0) + v1 * v2
+                    prod = nxt
+                for d, v in prod.items():
+                    want[d] = want.get(d, 0) + v
+            want = {d: v for d, v in sorted(want.items()) if v}
+            got = assemble_partitions(n, blocks)
+            assert got == want and list(got) == list(want)
+    assert len(list(_set_partitions(tuple(range(7))))) == 877  # Bell(7)
+    with pytest.raises(ValueError):
+        assemble_partitions(-1, {})
