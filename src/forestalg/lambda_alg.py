@@ -19,7 +19,7 @@ from itertools import combinations, permutations
 
 from . import forests
 from .forests import TriangleGraph
-from .linalg import FieldEchelon, smith_divisors
+from .linalg import BasisSolver, FieldEchelon, smith_divisors
 from .rings import GF2, QQ, ZZ
 from .series import assemble_partitions, odd_square_product_poly
 from .skewpoly import (GeneratorUniverse, SkewPoly, ideal_slice,
@@ -525,10 +525,8 @@ def degree_slice(p: Presentation, degree: int, ring=QQ):
 def _certified_basis(variant: str, labels: tuple, degree: int):
     """Certify that basic-forest monomials are a quotient basis in this
     degree: their normal forms are independent and counted by the quotient
-    dimension.  Returns (basic monomials, their reduced forms, slice, and a
-    reusable coordinate solver)."""
-    from .linalg import BasisSolver
-
+    dimension.  Returns (basic monomials, slice, and the coordinate solver
+    over their normal forms)."""
     p = Presentation(variant, labels)
     sl = _degree_slice(variant, labels, degree, "Q")
     basics = []
@@ -540,22 +538,18 @@ def _certified_basis(variant: str, labels: tuple, degree: int):
             gids.append(gid)
         basics.append((f, tuple(sorted(gids))))
     basics.sort(key=lambda t: t[1])
-    reduced = []
-    ech = FieldEchelon(None)
-    for _, m in basics:
-        nf = sl.reduce(SkewPoly(QQ, {m: 1}))
-        reduced.append(nf)
-        if not ech.add({sl.col_of[mm]: c for mm, c in nf.terms.items()}):
-            raise AssertionError(
-                f"basic monomials dependent modulo the ideal ({variant}, "
-                f"{len(labels)} labels, degree {degree})")
+    try:
+        solver = BasisSolver([sl.echelon.reduce({sl.col_of[m]: 1})
+                              for _, m in basics])
+    except ValueError:
+        raise AssertionError(
+            f"basic monomials dependent modulo the ideal ({variant}, "
+            f"{len(labels)} labels, degree {degree})") from None
     if len(basics) != sl.quotient_dimension():
         raise AssertionError(
             f"basic count {len(basics)} != quotient dimension "
             f"{sl.quotient_dimension()} ({variant}, {len(labels)} labels, degree {degree})")
-    solver = BasisSolver(
-        [{sl.col_of[mm]: c for mm, c in nf.terms.items()} for nf in reduced])
-    return basics, reduced, sl, solver
+    return basics, sl, solver
 
 
 def forest_normal_form(x: SkewPoly, p: Presentation) -> dict[TriangleGraph, object]:
@@ -572,7 +566,7 @@ def forest_normal_form(x: SkewPoly, p: Presentation) -> dict[TriangleGraph, obje
     d = x.degree()
     if d == 0:
         return {TriangleGraph.make(p.labels, []): x.terms[()]}
-    basics, _reduced, sl, solver = _certified_basis(p.variant, p.labels, d)
+    basics, sl, solver = _certified_basis(p.variant, p.labels, d)
     target = sl.reduce(x.convert(QQ))
     vec = {sl.col_of[m]: c for m, c in target.terms.items()}
     coords = solver.coordinates(vec)

@@ -1,15 +1,25 @@
 """Exact sparse linear algebra over Q, F_p, F_2 and Z.
 
 Rows are sparse dicts {column_index: value} with integer column indices;
-callers intern their column labels.  The routines here are the workhorses
-behind every ideal-slice echelon, homology rank and torsion certificate, so
-they favor predictable pivoting (deterministic output) and unit-pivot
-elimination (the boundary matrices here are overwhelmingly {0, +-1}).
+callers intern their column labels.  There are four kernels:
+
+- ``FieldEchelon``, over Q or F_p, behind every ideal slice over Q and F_2,
+  every field rank and, in ``BasisSolver``, every coordinate solve in a
+  certified basis;
+- ``HermiteEchelon``, behind ideal slices over Z and every membership test
+  in an integer lattice;
+- ``_eliminate``, the unit-first unimodular elimination behind the Smith
+  divisors and the integer kernels;
+- ``BitEchelon``, rows packed as ints, for the F_2 ranks of the Bockstein.
+
+They favor predictable pivoting (deterministic output) and unit pivots (the
+boundary matrices here are overwhelmingly {0, +-1}).
 
 Exact elimination over Q is integer-first: an entry is a Python ``int`` until
 a division by a pivot lead other than +-1 makes it a ``Fraction``, and the
 values are the same rationals either way.  Relations with +-1 coefficients
-therefore never leave integer arithmetic.
+therefore never leave integer arithmetic, and a ``Fraction`` appears only
+where a value really is rational.
 """
 
 from __future__ import annotations
@@ -148,19 +158,6 @@ class BitEchelon:
     def rank(self) -> int:
         return len(self.pivots)
 
-    def residue(self, row: int) -> int:
-        """Row reduced against all pivots (leading bits eliminated greedily)."""
-        out = 0
-        while row:
-            lead = (row & -row).bit_length() - 1
-            piv = self.pivots.get(lead)
-            if piv is None:
-                out |= 1 << lead
-                row ^= 1 << lead
-            else:
-                row ^= piv
-        return out
-
     def add(self, row: int) -> bool:
         while row:
             lead = (row & -row).bit_length() - 1
@@ -173,15 +170,6 @@ class BitEchelon:
 
     def extend(self, rows) -> int:
         return sum(1 for r in rows if self.add(r))
-
-    def contains(self, row: int) -> bool:
-        while row:
-            lead = (row & -row).bit_length() - 1
-            piv = self.pivots.get(lead)
-            if piv is None:
-                return False
-            row ^= piv
-        return True
 
 
 def bit_rank(rows) -> int:
@@ -478,61 +466,27 @@ def kernel_basis_fast(rows: list[dict]) -> list[dict]:
 
 
 class BasisSolver:
-    """Reusable coordinate solver over Q for a fixed independent row basis."""
+    """Coordinates over Q in a fixed independent row basis.
+
+    One ``FieldEchelon`` holds the rows [b_k | e_k], the identity block
+    placed past every basis column.  The basis is independent exactly when
+    no pivot lead falls in that block, and a vector v lies in its span
+    exactly when [v | 0] reduces to [0 | -coordinates].
+    """
 
     def __init__(self, basis: list[dict]):
         self.nbasis = len(basis)
-        self.pivots: dict[int, int] = {}
-        self.stored: list[dict] = []
-        self.combos: list[dict[int, Fraction]] = []
+        self.offset = 1 + max((c for b in basis for c in b), default=-1)
+        self.echelon = FieldEchelon(None)
         for k, b in enumerate(basis):
-            row = {c: Fraction(v) for c, v in b.items() if v}
-            combo = {k: Fraction(1)}
-            self._reduce(row, combo)
-            if not row:
-                raise ValueError("basis rows are linearly dependent")
-            lead = min(row)
-            inv = Fraction(1) / row[lead]
-            self.stored.append({c: v * inv for c, v in row.items()})
-            self.combos.append({k2: v * inv for k2, v in combo.items()})
-            self.pivots[lead] = len(self.stored) - 1
+            self.echelon.add({**b, self.offset + k: 1})
+        if any(lead >= self.offset for lead in self.echelon.pivots):
+            raise ValueError("basis rows are linearly dependent")
 
-    def _reduce(self, row: dict, combo: dict) -> None:
-        heap = sorted(row)
-        seen = set()
-        while heap:
-            c = heapq.heappop(heap)
-            if c in seen:
-                continue
-            seen.add(c)
-            v = row.get(c)
-            if not v:
-                continue
-            idx = self.pivots.get(c)
-            if idx is None:
-                continue
-            prow, pcombo = self.stored[idx], self.combos[idx]
-            for c2, w in prow.items():
-                fresh = c2 not in row
-                nv = row.get(c2, Fraction(0)) - v * w
-                if nv:
-                    row[c2] = nv
-                    if fresh and c2 not in seen:
-                        heapq.heappush(heap, c2)
-                else:
-                    row.pop(c2, None)
-            for k2, w in pcombo.items():
-                nv = combo.get(k2, Fraction(0)) - v * w
-                if nv:
-                    combo[k2] = nv
-                else:
-                    combo.pop(k2, None)
-
-    def coordinates(self, vector: dict) -> list[Fraction] | None:
-        row = {c: Fraction(v) for c, v in vector.items() if v}
-        combo: dict[int, Fraction] = {}
-        self._reduce(row, combo)
-        if row:
+    def coordinates(self, vector: dict) -> list | None:
+        if any(c >= self.offset for c, v in vector.items() if v):
             return None
-        # the residual is vector + sum(combo_k * basis_k) = 0
-        return [-combo.get(k, Fraction(0)) for k in range(self.nbasis)]
+        residue = self.echelon.reduce(vector)
+        if any(c < self.offset for c in residue):
+            return None
+        return [-residue.get(self.offset + k, 0) for k in range(self.nbasis)]

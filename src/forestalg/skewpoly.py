@@ -12,7 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations
 
-from .linalg import BitEchelon, FieldEchelon, HermiteEchelon, smith_divisors
+from .linalg import FieldEchelon, HermiteEchelon, smith_divisors
 from .rings import GF2, QQ, ZZ, CoefficientRing, RingMismatchError
 
 
@@ -297,8 +297,8 @@ def partial_derivation(p: SkewPoly, gid: int) -> SkewPoly:
 class IdealSlice:
     """Echelonized degree-d component of the ideal spanned by homogeneous
     relations: span{m * r} over monomial multipliers m of complementary
-    degree.  Over Q/F_2 the echelon is a field echelon; over Z a Hermite form
-    (with elementary divisors available for the torsion certificate)."""
+    degree.  Over Q and F_2 the echelon is a field echelon; over Z a Hermite
+    form (with elementary divisors available for the torsion certificate)."""
 
     def __init__(self, ring: CoefficientRing, degree: int,
                  columns: list[tuple], echelon, raw_rows=None):
@@ -322,37 +322,14 @@ class IdealSlice:
         _, divisors = smith_divisors(self._raw_rows)
         return divisors
 
-    def _terms_to_row(self, terms: dict):
-        if self.ring is GF2:
-            row = 0
-            for m, c in terms.items():
-                if c & 1:
-                    row |= 1 << self.col_of[m]
-            return row
-        return {self.col_of[m]: c for m, c in terms.items()}
-
-    def _row_to_poly(self, row) -> SkewPoly:
-        if self.ring is GF2:
-            terms = {}
-            i = 0
-            while row:
-                if row & 1:
-                    terms[self.columns[i]] = 1
-                row >>= 1
-                i += 1
-            return SkewPoly(GF2, terms)
-        return SkewPoly(self.ring, {self.columns[c]: v for c, v in row.items()})
-
     def reduce(self, p: SkewPoly) -> SkewPoly:
         """Normal form of p modulo the slice (leading-monomial elimination)."""
         if not p:
             return p
         if p.degree() != self.degree:
             raise ValueError(f"degree {p.degree()} element in degree {self.degree} slice")
-        row = self._terms_to_row(p.terms)
-        if self.ring is GF2:
-            return self._row_to_poly(self.echelon.residue(row))
-        return self._row_to_poly(self.echelon.reduce(row))
+        row = self.echelon.reduce({self.col_of[m]: c for m, c in p.terms.items()})
+        return SkewPoly(self.ring, {self.columns[c]: v for c, v in row.items()})
 
     def contains(self, p: SkewPoly) -> bool:
         return not self.reduce(p).terms
@@ -384,14 +361,14 @@ def ideal_slice(relations: list[SkewPoly], degree: int,
 
     columns = [m for m in universe.monomials(degree)
                if column_filter is None or column_filter(m)]
-    colset = set(columns)
-    sl_echelon = {QQ: lambda: FieldEchelon(None), GF2: BitEchelon,
+    sl_echelon = {QQ: lambda: FieldEchelon(None), GF2: lambda: FieldEchelon(2),
                   ZZ: HermiteEchelon}.get(ring)
     if sl_echelon is None:
         raise ValueError(f"no slice echelon over {ring.tag}")
     echelon = sl_echelon()
     slice_obj = IdealSlice(ring, degree, columns, echelon,
                            raw_rows=[] if ring is ZZ else None)
+    col_of = slice_obj.col_of
 
     for r in relations:
         if not r:
@@ -411,12 +388,12 @@ def ideal_slice(relations: list[SkewPoly], degree: int,
             if not row_terms:
                 continue
             if column_filter is not None:
-                inside = [m in colset for m in row_terms]
+                inside = [m in col_of for m in row_terms]
                 if not any(inside):
                     continue
                 if not all(inside):
                     raise AssertionError("row straddles the column filter")
-            row = slice_obj._terms_to_row(row_terms)
+            row = {col_of[m]: c for m, c in row_terms.items()}
             if ring is ZZ:
                 slice_obj._raw_rows.append(dict(row))
             echelon.add(row)

@@ -1,7 +1,15 @@
+import io
 import json
+from contextlib import redirect_stderr
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from forestalg import keel, quadratic_dual
 from forestalg.cli import main
+from forestalg.lambda_alg import Presentation
+from forestalg.rings import QQ
+from forestalg.skewpoly import poly_from_json_terms
 
 
 def run(capsys, argv):
@@ -58,6 +66,55 @@ def test_reduce_malformed_element(capsys):
         assert main(["reduce", "--n", "6", "--element", json.dumps(element)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+
+
+# arbitrary JSON values, and term lists that pass the parser's outer checks
+# often enough to reach the inner ones (labels of `reduce --n 6` are 1..5)
+_keys = st.sampled_from(["monomial", "numerator", "denominator"]) | st.text(max_size=3)
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-1, 7) | st.floats()
+    | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(_keys, inner, max_size=3),
+    max_leaves=12)
+_coefficients = st.integers(-2, 2) | _json_values
+_term_lists = st.lists(st.fixed_dictionaries(
+    {"monomial": st.lists(st.lists(st.integers(-1, 7), max_size=4), max_size=3)
+     | _json_values},
+    optional={"numerator": _coefficients, "denominator": _coefficients}),
+    max_size=3)
+_UNIVERSE = Presentation("tri", range(1, 6)).universe
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=_json_values | _term_lists)
+def test_element_parser_fuzz(data):
+    try:
+        poly_from_json_terms(QQ, _UNIVERSE, data)
+    except (ValueError, KeyError):
+        err = io.StringIO()
+        with redirect_stderr(err):
+            # one argv word, so argparse does not take a leading "-" (as in
+            # -1e+16) for an option
+            code = main(["reduce", "--n", "6", f"--element={json.dumps(data)}"])
+        assert code == 2
+        assert err.getvalue().startswith("error: ")
+        assert err.getvalue().count("\n") == 1
+
+
+_triples = st.lists(st.integers(1, 5), min_size=3, max_size=3, unique=True)
+
+
+@settings(max_examples=200, deadline=None)
+@given(terms=st.lists(st.fixed_dictionaries({
+    "monomial": st.lists(_triples, max_size=3),
+    "numerator": st.integers(-9, 9),
+    "denominator": st.integers(-4, 4).filter(bool)}), max_size=4))
+def test_element_json_round_trip(terms):
+    x = poly_from_json_terms(QQ, _UNIVERSE, terms)
+    data = x.to_json_terms(_UNIVERSE)
+    assert poly_from_json_terms(QQ, _UNIVERSE, data) == x
+    assert poly_from_json_terms(QQ, _UNIVERSE, json.loads(json.dumps(data))) == x
 
 
 def test_deterministic_output(capsys):

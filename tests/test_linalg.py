@@ -271,6 +271,42 @@ def test_field_echelon_matches_fraction_elimination(rows, queries):
     assert ech.same_span(fewer) == (len(shorter.pivots) == len(ref.pivots))
 
 
+def _combination(coeffs, rows) -> dict:
+    out = {}
+    for a, row in zip(coeffs, rows):
+        for c, v in row.items():
+            out[c] = out.get(c, 0) + a * v
+    return {c: v for c, v in out.items() if v}
+
+
+@settings(max_examples=150, deadline=None)
+@given(rows=st.lists(_q_rows(), min_size=1, max_size=8), data=st.data())
+def test_basis_solver_matches_fraction_elimination(rows, data):
+    # the rows the reference echelon accepts are an independent basis; each
+    # one it rejects makes the basis dependent
+    ref = _FractionEchelon()
+    basis, dependent = [], []
+    for r in rows:
+        (basis if ref.add(r) else dependent).append(r)
+    solver = BasisSolver(basis)
+    coeffs = data.draw(st.lists(_entries, min_size=len(basis),
+                                max_size=len(basis)))
+    vector = _combination(coeffs, basis)
+    assert solver.coordinates(vector) == coeffs
+    # column 9 lies past every basis column
+    assert solver.coordinates({**vector, 9: 1}) is None
+    for q in data.draw(st.lists(st.dictionaries(st.integers(0, 8), _entries,
+                                                max_size=5), max_size=4)):
+        coords = solver.coordinates(q)
+        if ref.reduce(q):
+            assert coords is None
+        else:
+            assert _combination(coords, basis) == {c: v for c, v in q.items() if v}
+    for r in dependent:
+        with pytest.raises(ValueError):
+            BasisSolver(basis + [r])
+
+
 @st.composite
 def _z_matrices(draw):
     """Sparse integer rows with entries in -3..3 (zeros and empty rows

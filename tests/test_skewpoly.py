@@ -143,6 +143,25 @@ def test_gf2_and_integer_slices_agree_on_free_quotients():
     assert all(d == 1 for d in div)
 
 
+def test_gf2_slice_reduce_properties():
+    p = Presentation("tri", range(1, 6))
+    rels = [r.convert(GF2) for r in p.relations()]
+    rng = random.Random(5)
+    for degree in (2, 3):
+        sl = ideal_slice(rels, degree, p.universe, GF2)
+        if degree == 2:
+            assert sl.quotient_dimension() == 9
+        for r in rels:
+            for m in p.universe.monomials(degree - r.degree()):
+                assert not sl.reduce(SkewPoly(GF2, {m: 1}) * r).terms
+        for _ in range(30):
+            x = SkewPoly(GF2, {tuple(sorted(rng.sample(range(len(p.universe)), degree))): 1
+                               for _ in range(rng.randint(1, 5))})
+            nf = sl.reduce(x)
+            assert sl.reduce(nf) == nf
+            assert sl.contains(x - nf)
+
+
 def test_json_round_trip():
     p = Presentation("tri", range(1, 6))
     x = p.monomial([(1, 2, 3), (1, 4, 5)], coeff=3) + p.term((2, 3, 4)).scale(-2)
