@@ -25,6 +25,25 @@ The command-line entry point ``forestalg`` exposes each verification; the
 __version__ = "0.1.0"
 
 __all__ = [
-    "acceptance", "cli", "forests", "keel", "lambda_alg", "linalg", "operad",
-    "poset_homology", "quadratic_dual", "rings", "series", "skewpoly",
+    "acceptance", "clear_caches", "cli", "forests", "keel", "lambda_alg",
+    "linalg", "operad", "poset_homology", "quadratic_dual", "rings", "series",
+    "skewpoly",
 ]
+
+
+def clear_caches() -> None:
+    """Empty every process-wide cache of the package: the module-level
+    ``lru_cache``s and ``lambda_alg``'s table of killed classes.  Results
+    must not depend on these caches; this lets that be checked."""
+    import importlib
+    import pkgutil
+
+    from . import lambda_alg
+
+    for info in pkgutil.iter_modules(__path__):
+        module = importlib.import_module(f"{__name__}.{info.name}")
+        for obj in vars(module).values():
+            if (hasattr(obj, "cache_clear")
+                    and getattr(obj, "__module__", None) == module.__name__):
+                obj.cache_clear()
+    lambda_alg._killed_classes.clear()

@@ -272,6 +272,14 @@ def cmd_all_acceptance(args) -> int:
     return 0 if results["pass"] else 1
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors are one ``error:`` line on
+    stderr and exit code 2; subparsers inherit the class."""
+
+    def error(self, message):
+        self.exit(2, f"error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("json", "csv", "pretty"),
@@ -281,7 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--jobs", type=int, default=argparse.SUPPRESS,
                         help="parallelism degree (block computations are "
                              "independent; 1 keeps everything sequential)")
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="forestalg", parents=[common],
         description="exact verifications for the forest-indexed cohomology rings")
     sub = ap.add_subparsers(dest="command", required=True)

@@ -13,12 +13,24 @@ The two rewriting rules are the overlap relation
 and the exponent-bound relation P_S^e prod_i (P_{S_i} - P_S) = 0 with
 e = |S_0| + k - 1; both replace a monomial by strictly grevlex-smaller ones
 (variable order: by (|S|, sorted elements), extending inclusion).
+
+A monomial is a flat tuple of (support id, exponent) pairs sorted by id.  The
+canonical basis is enumerated without rewriting: the supports of a laminar
+family split into its maximal supports, each the outermost set of a
+component.  A family inside a label set is built from its smallest label,
+which is either uncovered or the smallest label of exactly one component,
+and each component is its outermost exponent on top of a family strictly
+inside it.  Components are concatenated as tuples and each monomial is sorted
+once.  Since every laminar family has exactly one such decomposition, no
+monomial is produced twice; the enumeration asserts it instead of
+deduplicating.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, islice
+from operator import eq
 
 from .forests import _union_find_components
 from .linalg import BitEchelon
@@ -248,53 +260,57 @@ class KeelRing:
             return list(self._canonical_cache)
         return [m for m in self._canonical_cache if self.degree(m) == degree]
 
-    def _anchored(self, support: tuple) -> list[tuple[dict, int]]:
-        """Canonical families with outermost set exactly `support` (exponent
-        >= 1, inner supports strictly inside): (exponent dict, degree)."""
+    def _anchored(self, support: tuple) -> list[tuple[tuple, int]]:
+        """Canonical families whose outermost set is exactly `support`, as
+        (items, degree).  `items` is an unsorted tuple of (sid, exponent)
+        pairs ending in the pair of `support` itself: the inner supports form
+        a disjoint family of proper components inside `support` (c of them,
+        covering k labels), and the keyhole bound allows the exponents
+        1 <= d < c - 1 + |support| - k on `support`."""
         cached = self._anchored_cache.get(support)
         if cached is not None:
             return cached
-        out = []
         sid = self.sup_index[frozenset(support)]
-        for fam, fdeg, sizes in self._disjoint_families(support, forbid=support):
-            bound = len(sizes) - 1 + len(support) - sum(sizes)
-            for d in range(1, bound):
-                fam2 = dict(fam)
-                fam2[sid] = d
-                out.append((fam2, fdeg + d))
+        out = []
+        for items, deg, count, covered in self._disjoint_families(support, True):
+            for d in range(1, count - 1 + len(support) - covered):
+                out.append((items + ((sid, d),), deg + d))
         self._anchored_cache[support] = out
         return out
 
-    def _disjoint_families(self, avail: tuple, forbid: tuple | None = None):
-        """Families of disjoint anchored components inside `avail`; a
-        component equal to `forbid` is excluded (properness).  Yields
-        (exponent dict, total degree, tuple of component sizes)."""
+    def _disjoint_families(self, avail: tuple, proper: bool = False):
+        """Families of disjoint anchored components inside the sorted label
+        tuple `avail`, as (items, degree, component count, labels covered),
+        `items` being the components' (sid, exponent) pairs joined by `+`.
+        With `proper`, the single component `avail` itself is excluded.
+
+        The smallest label of `avail` is either left uncovered or is the
+        smallest label of exactly one component; the rest of the family lies
+        in the labels left over.  So every laminar family is produced once,
+        split into its maximal supports, each anchored at its smallest
+        label."""
         if len(avail) < 3:
-            yield {}, 0, ()
+            yield (), 0, 0, 0
             return
         a = avail[0]
         rest = avail[1:]
-        for fam, d, sizes in self._disjoint_families(rest, forbid):
-            yield fam, d, sizes
-        for size in range(3, len(avail) + 1):
+        yield from self._disjoint_families(rest)
+        for size in range(3, len(avail) + 1 - proper):
             for extra in combinations(rest, size - 1):
-                comp = (a,) + extra
-                if forbid is not None and comp == forbid:
-                    continue
-                chosen = set(extra)
-                left = tuple(x for x in rest if x not in chosen)
-                for cfam, cdeg in self._anchored(comp):
-                    for fam, d, sizes in self._disjoint_families(left, forbid):
-                        merged = dict(fam)
-                        merged.update(cfam)
-                        yield merged, d + cdeg, sizes + (size,)
+                anchored = self._anchored((a,) + extra)
+                left = tuple(x for x in rest if x not in extra)
+                for items, d, count, covered in self._disjoint_families(left):
+                    for citems, cdeg in anchored:
+                        yield citems + items, d + cdeg, count + 1, covered + size
 
     def _enumerate_canonical(self) -> list[Monomial]:
-        out = {()}
-        for fam, _deg, _sizes in self._disjoint_families(self.labels):
-            if fam:
-                out.add(tuple(sorted(fam.items())))
-        return sorted(out)
+        """All canonical monomials, sorted; a duplicate would sit next to
+        its twin, and raises."""
+        out = sorted([tuple(sorted(items)) for items, _d, _c, _k
+                      in self._disjoint_families(self.labels)])
+        if any(map(eq, out, islice(out, 1, None))):
+            raise AssertionError("duplicate canonical monomial")
+        return out
 
     # -- gradings ------------------------------------------------------------
 
@@ -306,10 +322,12 @@ class KeelRing:
 
     def connected_block(self, degree: int | None = None) -> list[Monomial]:
         """Canonical monomials whose support union spans all labels in one
-        component."""
-        whole = (self.labels,)
+        component.  The components of a laminar family are its maximal
+        supports, so these are the monomials whose largest support (the last
+        pair) is the full label set."""
+        top = self.sup_index.get(frozenset(self.labels))
         return [m for m in self.canonical_monomials(degree)
-                if m and self.partition_grading(m) == whole]
+                if m and m[-1][0] == top]
 
 
 class _GrevKey:
@@ -476,7 +494,8 @@ def canonical_count_report(n: int) -> dict:
     ring = KeelRing(n)
     counts: dict[int, int] = {}
     for m in ring.canonical_monomials():
-        counts[ring.degree(m)] = counts.get(ring.degree(m), 0) + 1
+        d = ring.degree(m)
+        counts[d] = counts.get(d, 0) + 1
     expected = keel_betti_polynomial(n)
     return {"n": n, "counts": dict(sorted(counts.items())),
             "expected": dict(sorted(expected.items())),

@@ -5,7 +5,7 @@ from contextlib import redirect_stderr
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from forestalg import keel, quadratic_dual
+from forestalg import clear_caches, keel, lambda_alg, quadratic_dual
 from forestalg.cli import main
 from forestalg.lambda_alg import Presentation
 from forestalg.rings import QQ
@@ -53,6 +53,21 @@ def test_reduce_element(capsys):
 def test_usage_error_exit_code(capsys):
     assert main(["no-such-command"]) == 2
     assert main(["reduce", "--n", "6", "--element", "{not json"]) == 2
+
+
+def test_argparse_errors_are_one_line(capsys):
+    for argv in (["reduce", "--n", "6", "--element", "-1e+16"],
+                 ["reduce", "--n", "6", "--element", "-Infinity"],
+                 ["no-such-command"],
+                 [],
+                 ["hilbert"],
+                 ["hilbert", "--n", "six"],
+                 ["hilbert", "--n", "6", "--variant", "cubic"],
+                 ["keel-count", "--n", "5", "--no-such-flag"],
+                 ["--format", "xml", "jacobi"]):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, argv
 
 
 def test_reduce_malformed_element(capsys):
@@ -210,3 +225,24 @@ def test_step_limit_and_pbw_failures_are_reported(capsys, monkeypatch):
     assert main(["dual", "--n", "5"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("invariant failure: ") and err.count("\n") == 1
+
+
+def test_reports_do_not_depend_on_cache_state(capsys):
+    argvs = [["hilbert", "--n", "6"], ["bockstein", "--n", "5"],
+             ["keel-count", "--n", "6"], ["whitney", "--n", "5"]]
+
+    def reports(order):
+        out = {}
+        for argv in order:
+            code, text = run(capsys, argv)
+            assert code == 0
+            out[tuple(argv)] = text
+        return out
+
+    first = reports(argvs)
+    assert keel.hbeta_connected_block.cache_info().currsize
+    clear_caches()
+    assert not lambda_alg._killed_classes
+    assert keel.hbeta_connected_block.cache_info().currsize == 0
+    assert lambda_alg.block_dimension.cache_info().currsize == 0
+    assert reports(reversed(argvs)) == first

@@ -24,6 +24,55 @@ def test_canonical_monomials_examples():
     assert KeelRing(2).canonical_monomials(1) == []
 
 
+def _canonical_by_search(ring):
+    """Every monomial of degree <= n-2 over the supports that passes
+    is_canonical, sorted; a prefix with an overlapping pair is not extended
+    (laminarity fails for every monomial it divides)."""
+    out = []
+
+    def grow(start, room, prefix):
+        if ring.condition1_violation(prefix) is not None:
+            return
+        if ring.is_canonical(prefix):
+            out.append(prefix)
+        for sid in range(start, len(ring.supports)):
+            for e in range(1, room + 1):
+                grow(sid + 1, room - e, prefix + ((sid, e),))
+
+    grow(0, ring.n - 2, ())
+    return sorted(out)
+
+
+def test_canonical_enumeration_matches_search():
+    for n, size in ((4, 7), (5, 34), (6, 213)):
+        ring = KeelRing(n)
+        got = ring.canonical_monomials()
+        assert len(got) == size
+        assert got == _canonical_by_search(ring)
+
+
+def test_canonical_enumeration_rejects_duplicates():
+    class Doubled(KeelRing):
+        def _disjoint_families(self, avail, proper=False):
+            for family in super()._disjoint_families(avail, proper):
+                yield family
+                if avail == self.labels:
+                    yield family
+
+    with pytest.raises(AssertionError, match="duplicate canonical monomial"):
+        Doubled(4).canonical_monomials()
+
+
+def test_connected_block_matches_partition_grading():
+    for n in range(3, 8):
+        ring = KeelRing(n)
+        whole = (ring.labels,)
+        for degree in (None, 1, n - 2):
+            assert ring.connected_block(degree) == [
+                m for m in ring.canonical_monomials(degree)
+                if m and ring.partition_grading(m) == whole]
+
+
 def test_counts_match_ode():
     for n in range(2, 8):
         assert canonical_count_report(n)["match"]
