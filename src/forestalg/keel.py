@@ -130,7 +130,6 @@ class KeelRing:
     def condition2_violation(self, m: Monomial):
         """(sid, maximal inner sids) for the smallest bound-violating support,
         assuming condition 1 holds; None if canonical."""
-        exps = dict(m)
         for sid, e in m:
             inner = self._maximal_inner(m, sid)
             bound = len(inner) - 1 + len(self.supports[sid]) \

@@ -7,9 +7,12 @@ Degreewise quotient dimensions are computed through the partition grading:
 every relation is homogeneous for the grading by connected components of the
 monomial's triangle graph, so each ideal slice splits into blocks indexed by
 set partitions and only connected blocks (cached per size and relabeled) need
-actual linear algebra.  The quad presentation has linear relations; those are
-eliminated first (the lattice they span is verified unimodular), after which
-its quadratic relations are compared against the tri presentation's span.
+actual linear algebra; a block with a cycle is zero by the loose-cycle lemma
+of ``_assert_cyclic_block_dies``.  The quad presentation has linear relations;
+those are eliminated first (the lattice they span is verified unimodular),
+after which its quadratic relations are compared against the tri
+presentation's span: equality over Q, proved by containment over Q and equal
+rank via the modular lower bound rank_p <= rank_Q.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from itertools import combinations, permutations
 
 from . import forests
 from .forests import TriangleGraph
-from .linalg import BasisSolver, FieldEchelon, smith_divisors
+from .linalg import BasisSolver, same_rational_span, smith_divisors
 from .rings import GF2, QQ, ZZ
 from .series import assemble_partitions, odd_square_product_poly
 from .skewpoly import (GeneratorUniverse, SkewPoly, ideal_slice,
@@ -182,7 +185,7 @@ def block_dimension(variant: str, size: int, edges: int, with_divisors: bool = F
 
     Tree-type blocks (odd size, edges = (size-1)/2) get actual linear algebra;
     every other connected block consists of cyclic monomials only (incidence
-    count), and those vanish by the certified cycle rewriting below.  Returns
+    count), and those vanish by the loose-cycle certificate below.  Returns
     dim, or (dim, elementary divisors) over Z when requested.  Blocks inside a
     larger label set have the same dimension by relabeling (the relation
     families are stable under label bijections).
@@ -193,16 +196,17 @@ def block_dimension(variant: str, size: int, edges: int, with_divisors: bool = F
         # a single vertex: dimension 1 at 0 edges, nothing else
         dim = 1 if (size == 1 and edges == 0) else 0
         return (dim, []) if with_divisors else dim
-    if 3 * edges < size or (size % 2 == 1 and edges < (size - 1) // 2):
-        dim = 0  # no connected spanning graphs at all
-        return (dim, []) if with_divisors else dim
-    if size % 2 == 1 and edges == (size - 1) // 2:
+    if 2 * edges < size - 1:
+        # no connected spanning graphs at all: a connected incidence graph
+        # on size + edges vertices needs 3 * edges >= size + edges - 1
+        return (0, []) if with_divisors else 0
+    if 2 * edges == size - 1:
         p = Presentation(variant, range(1, size + 1))
         return quotient_dimension(p.relations(), edges, p.universe, QQ,
                                   column_filter=_connected_filter(p.universe),
                                   with_divisors=with_divisors)
-    # cyclic block: every monomial's graph has a cycle, and every cyclic
-    # monomial is certified zero by explicit relation rewriting
+    # cyclic block: 2 * edges > size - 1, so every monomial's incidence
+    # graph has a cycle, and the loose-cycle certificate makes it zero
     _assert_cyclic_block_dies(size, edges)
     return (0, []) if with_divisors else 0
 
@@ -271,9 +275,8 @@ _killed_classes: dict[tuple, bool] = {}
 def _close_and_mark(seed_classes) -> None:
     """Least fixed point of the killing rule over the rewrite closure of the
     seeds.  The closure is finite: rewrites never add vertices or edges."""
-    frontier = [c for c in seed_classes if c not in _killed_classes]
     universe = set()
-    stack = list(frontier)
+    stack = [c for c in seed_classes if c not in _killed_classes]
     children_of: dict[tuple, list] = {}
     while stack:
         cls = stack.pop()
@@ -303,31 +306,40 @@ def _close_and_mark(seed_classes) -> None:
                     break
 
 
-@lru_cache(maxsize=None)
 def _assert_cyclic_block_dies(size: int, edges: int) -> None:
-    """Every connected spanning graph on {1..size} with this many edges has a
-    cycle (incidence count) and gets rewritten to zero; failure would
-    falsify the spanning theorem and raises loudly."""
-    triples = list(combinations(range(size), 3))
-    masks = [sum(1 << v for v in t) for t in triples]
-    full = (1 << size) - 1
-    forms = set()
-    for combo in combinations(range(len(triples)), edges):
-        m = 0
-        for idx in combo:
-            m |= masks[idx]
-        if m != full:
-            continue
-        chosen = [triples[idx] for idx in combo]
-        if len(forests.partition_of_edges(chosen, range(size))) != 1:
-            continue
-        forms.add(_first_occurrence_form(chosen))
-    _close_and_mark(sorted(forms))
-    for form in sorted(forms):
+    """Every monomial of the connected block (size, edges), 2 * edges >
+    size - 1, is zero: certified through the loose cycles C_k, the k triples
+    {v_i, v_(i+1), x_i} (indices mod k) on 2k labels, for
+    3 <= k <= min(edges, size // 2), which suffice by this lemma.  Each C_k
+    is closed once; ``_killed_classes`` keeps the result.
+
+    Such a monomial has two factors sharing two labels (zero by the
+    shared-edge relation, ``_immediate_zero``) or contains a copy of C_k.
+    Proof, with cycles in the sense of Berge, *Hypergraphs*, ch. 1: the
+    incidence graph of labels and factors is connected, with size + edges
+    vertices and 3 * edges > size + edges - 1 edges, so it has a cycle:
+    distinct labels v_1..v_k and factors E_1..E_k with v_i, v_(i+1) in E_i.
+    Take k minimal; k = 2 is two factors sharing two labels.  Otherwise
+    E_i meets E_(i+1) in v_(i+1) alone; let x_i be the third label of E_i.
+    If x_i = v_j (j not i, i+1), E_i is a chord and closes the arcs
+    v_(i+1)..v_j and v_j..v_i into cycles of lengths j - i and
+    k - (j - i) + 1.  If x_i = x_j (j not i+-1, which would share two
+    labels), the arcs through x_i give cycles of lengths j - i + 1 and
+    k - (j - i) + 1.  All are shorter than k, so the k factors lie on 2k
+    distinct labels: a copy of C_k, with k <= edges and 2k <= size.
+
+    The ideal is two-sided and label-local (relations on a subset of the
+    labels are relations on all of them, and the families are stable under
+    label bijections), so C_k being zero on its own 2k labels kills every
+    monomial that contains a copy of it.  A C_k that does not rewrite to
+    zero would falsify the spanning theorem and raises loudly.
+    """
+    for k in range(3, min(edges, size // 2) + 1):
+        form = _first_occurrence_form(
+            [(i, (i + 1) % k, k + i) for i in range(k)])
+        _close_and_mark([form])
         if not _killed_classes.get(form, False):
-            raise AssertionError(
-                f"connected block ({size},{edges}): monomial {form} "
-                "did not rewrite to zero")
+            raise AssertionError(f"loose cycle C_{k} did not rewrite to zero")
 
 
 def assembled_dimension(variant: str, n_labels: int, degree: int) -> int:
@@ -387,8 +399,10 @@ def _quad_linear_data(n: int):
 @lru_cache(maxsize=None)
 def quad_tri_span_match(n: int) -> bool:
     """The substituted quad quadratic relations and the tri relations span
-    the same degree-2 subspace (over Q); with the unimodularity certificate
-    this transports every degree >= 2 dimension between the presentations."""
+    the same degree-2 subspace over Q (containment over Q, equal rank via
+    the modular lower bound rank_p <= rank_Q: ``linalg.same_rational_span``);
+    with the unimodularity certificate this transports every degree >= 2
+    dimension between the presentations."""
     if n < 5:
         return True  # no quadratic relations on either side below five labels
     _, divisors = _quad_linear_data(n)
@@ -396,22 +410,9 @@ def quad_tri_span_match(n: int) -> bool:
         return False
     quad = Presentation("quad", range(1, n + 1))
     tri = Presentation("tri", range(1, n))
-    left = FieldEchelon(None)
-    for r in quad.quadratic_relations():
-        q = quad_to_tri(r, quad, tri)
-        left.add({_colkey(m): c for m, c in q.terms.items()})
-    right = FieldEchelon(None)
-    for r in tri.relations():
-        right.add({_colkey(m): c for m, c in r.terms.items()})
-    return left.same_span(right)
-
-
-def _colkey(monomial: tuple[int, ...]) -> int:
-    # pack a short gid tuple into one int column index (gids < 2**16)
-    key = 0
-    for g in monomial:
-        key = (key << 16) | (g + 1)
-    return key
+    return same_rational_span(
+        [quad_to_tri(r, quad, tri).terms for r in quad.quadratic_relations()],
+        [r.terms for r in tri.relations()])
 
 
 # ---------------------------------------------------------------------------
@@ -425,29 +426,21 @@ def hilbert_polynomial(p: Presentation, check_formula: bool = True) -> list[int]
     linear relations first (degree 1 directly, higher degrees through the
     verified span match with the tri presentation).
     """
-    if p.variant in ("tri", "twisted"):
-        m = p.n
-        expected = odd_square_product_poly(m)
-        top = max(expected)
-        dims = [assembled_dimension(p.variant, m, d) for d in range(top + 2)]
-        while dims and dims[-1] == 0:
-            dims.pop()
-    else:
-        n = p.n
-        if n < 3:
+    if p.variant == "quad":
+        if p.n < 3:
             raise ValueError("quad presentation needs at least 3 labels")
-        expected = odd_square_product_poly(n - 1)
-        lin = FieldEchelon(None)
-        for r in p.linear_relations():
-            lin.add({g[0]: c for g, c in r.terms.items()})
-        dims = [1, len(p.universe) - lin.rank]
-        if not quad_tri_span_match(n):
+        if not quad_tri_span_match(p.n):
             raise AssertionError("quad/tri relation spans differ in degree 2")
-        top = max(expected)
-        for d in range(2, top + 2):
-            dims.append(assembled_dimension("tri", n - 1, d))
-        while dims and dims[-1] == 0:
-            dims.pop()
+        # the linear relations have one elementary divisor per unit of rank
+        variant, m = "tri", p.n - 1
+        dims = [1, len(p.universe) - len(_quad_linear_data(p.n)[1])]
+    else:
+        variant, m, dims = p.variant, p.n, []
+    expected = odd_square_product_poly(m)
+    dims += [assembled_dimension(variant, m, d)
+             for d in range(len(dims), max(expected) + 2)]
+    while dims and dims[-1] == 0:
+        dims.pop()
     if check_formula:
         want = [expected.get(d, 0) for d in range(max(expected) + 1)]
         if dims != want:

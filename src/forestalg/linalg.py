@@ -1,11 +1,13 @@
 """Exact sparse linear algebra over Q, F_p, F_2 and Z.
 
 Rows are sparse dicts {column_index: value} with integer column indices;
-callers intern their column labels.  There are four kernels:
+callers intern their column labels (``FieldEchelon`` also takes any totally
+ordered keys, such as the monomial tuples of one degree).  There are four
+kernels:
 
 - ``FieldEchelon``, over Q or F_p, behind every ideal slice over Q and F_2,
-  every field rank and, in ``BasisSolver``, every coordinate solve in a
-  certified basis;
+  every field rank, the span certificate ``same_rational_span`` and, in
+  ``BasisSolver``, every coordinate solve in a certified basis;
 - ``HermiteEchelon``, behind ideal slices over Z and every membership test
   in an integer lattice;
 - ``_eliminate``, the unit-first unimodular elimination behind the Smith
@@ -142,6 +144,39 @@ def field_rank(rows, p: int | None = None) -> int:
     ech = FieldEchelon(p)
     ech.extend(rows)
     return ech.rank
+
+
+SPAN_PRIME = 2 ** 31 - 1
+
+
+def same_rational_span(left: list[dict], right: list[dict]) -> bool:
+    """Whether the integer rows ``left`` and ``right`` span the same space
+    over Q, proved by containment over Q and equal rank via the modular
+    lower bound rank_p <= rank_Q (p = ``SPAN_PRIME``):
+
+    - every left row reduces to zero against the Q echelon of the right
+      rows (in ``int`` when, as for relation rows, its leads are +-1);
+    - some left rows reach rank_Q(right) modulo p, span what the right rows
+      span modulo p, and rank_p(right) = rank_Q(right).
+
+    If the modular bound falls short, an exact Q elimination of the left
+    rows decides; no answer rests on the modular step alone.
+    """
+    right_q = FieldEchelon(None)
+    right_q.extend(right)
+    if not all(right_q.contains(row) for row in left):
+        return False
+    left_p, right_p = FieldEchelon(SPAN_PRIME), FieldEchelon(SPAN_PRIME)
+    right_p.extend(right)
+    for row in left:
+        if left_p.rank == right_q.rank:
+            break  # the rows left out cannot lower the modular rank
+        left_p.add(row)
+    if right_p.rank == right_q.rank and left_p.same_span(right_p):
+        return True
+    left_q = FieldEchelon(None)
+    left_q.extend(left)
+    return left_q.same_span(right_q)
 
 
 # ---------------------------------------------------------------------------

@@ -22,12 +22,11 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache, reduce
 from itertools import combinations, product
-from math import gcd
 from operator import or_
 
 from .forests import partition_of_edges
 from .lambda_alg import Presentation
-from .linalg import FieldEchelon
+from .linalg import FieldEchelon, kernel_basis_fast
 from .series import assemble_partitions, odd_square_product_poly
 
 
@@ -61,47 +60,15 @@ def primal_relation_rows(n: int) -> list[dict[int, int]]:
 
 
 def annihilator_rows(n: int) -> list[dict[int, int]]:
-    """An integer basis of the annihilator of R under the slotwise pairing
-    (the kernel of the relation row space), via free-column back-substitution
-    against the reduced echelon of R."""
-    labels = tuple(range(1, n))
-    D = len(_triples(labels))
-    ech = FieldEchelon(None)
-    ech.extend(primal_relation_rows(n))
-    pivots = ech.pivots
-    # fully reduce pivot rows against each other so back-substitution is flat
-    reduced: dict[int, dict[int, Fraction]] = {}
-    for lead in sorted(pivots, reverse=True):
-        row = dict(pivots[lead])
-        for c in sorted([c for c in row if c != lead and c in reduced]):
-            v = row.pop(c, None)
-            if not v:
-                continue
-            for c2, w in reduced[c].items():
-                if c2 == c:
-                    continue
-                nv = row.get(c2, Fraction(0)) - v * w
-                if nv:
-                    row[c2] = nv
-                else:
-                    row.pop(c2, None)
-        reduced[lead] = {lead: Fraction(1), **{c: v for c, v in row.items() if c != lead}}
-    out = []
-    for fc in range(D * D):
-        if fc in pivots:
-            continue
-        # the annihilator pairs rows against vectors: v with v[fc] = 1 and
-        # v[lead] = -coefficient of fc in the reduced pivot row
-        vec = {fc: Fraction(1)}
-        for lead, row in reduced.items():
-            c = row.get(fc)
-            if c:
-                vec[lead] = vec.get(lead, Fraction(0)) - c
-        den = 1
-        for v in vec.values():
-            den = den * v.denominator // gcd(den, v.denominator)
-        out.append({c: int(v * den) for c, v in vec.items() if v})
-    return out
+    """An integer basis of the annihilator of R under the slotwise pairing:
+    the integer kernel of the relation rows, read from the transposed rows
+    (one per word column) by ``kernel_basis_fast``."""
+    D = len(_triples(range(1, n)))
+    columns: list[dict[int, int]] = [{} for _ in range(D * D)]
+    for i, row in enumerate(primal_relation_rows(n)):
+        for c, v in row.items():
+            columns[c][i] = v
+    return kernel_basis_fast(columns)
 
 
 def explicit_dual_rows(labels) -> list[dict[int, int]]:

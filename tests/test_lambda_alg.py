@@ -4,7 +4,7 @@ from math import gcd
 
 import pytest
 
-from forestalg import forests
+from forestalg import forests, lambda_alg
 from forestalg.lambda_alg import (Presentation, basic_forest_complex_homology,
                                   block_dimension,
                                   expected_euler_characteristic,
@@ -12,6 +12,7 @@ from forestalg.lambda_alg import (Presentation, basic_forest_complex_homology,
                                   partition_component_dims, quad_to_tri,
                                   quad_tri_span_match, tri_to_quad,
                                   whitney_differential)
+from forestalg.linalg import FieldEchelon
 from forestalg.rings import QQ, ZZ
 from forestalg.skewpoly import SkewPoly, ideal_slice
 
@@ -139,6 +140,94 @@ def test_block_dimension_values():
     assert block_dimension("tri", 4, 2) == 0
     assert block_dimension("tri", 6, 3) == 0
     assert block_dimension("twisted", 5, 2) == 9
+
+
+def _connected_spanning_edge_sets(size, edges):
+    """Oracle: every set of `edges` triples on range(size) whose triangle
+    graph is connected and covers every label, by enumeration."""
+    triples = list(combinations(range(size), 3))
+    for chosen in combinations(triples, edges):
+        if (len(set().union(*chosen)) == size and
+                len(forests.partition_of_edges(chosen, range(size))) == 1):
+            yield chosen
+
+
+def _is_loose_cycle(chosen):
+    """k triples on 2k labels, each meeting exactly two others in one label,
+    the meetings forming one cycle."""
+    k = len(chosen)
+    if len(set().union(*chosen)) != 2 * k:
+        return False
+    meets = {i: [j for j in range(k) if j != i
+                 and len(set(chosen[i]) & set(chosen[j])) == 1] for i in range(k)}
+    if any(len(v) != 2 for v in meets.values()):
+        return False
+    seen, stack = {0}, [0]
+    while stack:
+        for j in meets[stack.pop()]:
+            if j not in seen:
+                seen.add(j)
+                stack.append(j)
+    return len(seen) == k
+
+
+def test_loose_cycle_lemma_against_enumeration():
+    # every cyclic block with size <= 7 and edges <= 4, enumerated the way
+    # the certificate once did: each connected spanning edge set has two
+    # triples sharing two labels or contains a loose cycle C_k with
+    # 3 <= k <= min(edges, size // 2), and the per-form rewrite closure
+    # kills every form
+    linear_cyclic = 0
+    for size in range(3, 8):
+        for edges in range(1, 5):
+            if 2 * edges <= size - 1:
+                continue  # forests, or no connected spanning graph
+            forms = set()
+            for chosen in _connected_spanning_edge_sets(size, edges):
+                forms.add(lambda_alg._first_occurrence_form(chosen))
+                if lambda_alg._immediate_zero(chosen):
+                    continue
+                linear_cyclic += 1
+                assert any(_is_loose_cycle(sub)
+                           for k in range(3, min(edges, size // 2) + 1)
+                           for sub in combinations(chosen, k)), chosen
+            lambda_alg._close_and_mark(sorted(forms))
+            assert all(lambda_alg._killed_classes.get(f) for f in forms)
+            assert block_dimension("tri", size, edges) == 0
+    assert linear_cyclic == 2250
+
+
+def test_first_cyclic_blocks_of_ten_labels(monkeypatch):
+    # certified by C_3 and C_4 alone: 2k <= 9 leaves no room for C_5
+    seeds = []
+    close = lambda_alg._close_and_mark
+    monkeypatch.setattr(lambda_alg, "_close_and_mark",
+                        lambda classes: seeds.extend(classes) or close(classes))
+    for edges in (5, 6):
+        lambda_alg._assert_cyclic_block_dies(9, edges)
+        assert block_dimension("tri", 9, edges) == 0
+    assert sorted(set(seeds)) == [lambda_alg._first_occurrence_form(
+        [(i, (i + 1) % k, k + i) for i in range(k)]) for k in (3, 4)]
+
+
+def _rational_span_match(n):
+    """Oracle: the substituted quad rows and the tri rows each eliminated
+    over Q (the quad side runs on Fractions once a pivot lead is not +-1),
+    then compared by FieldEchelon.same_span."""
+    quad = Presentation("quad", range(1, n + 1))
+    tri = Presentation("tri", range(1, n))
+    left, right = FieldEchelon(None), FieldEchelon(None)
+    for r in quad.quadratic_relations():
+        left.add(dict(quad_to_tri(r, quad, tri).terms))
+    for r in tri.relations():
+        right.add(dict(r.terms))
+    return left.same_span(right)
+
+
+@pytest.mark.parametrize("n", [5, 6, 7])
+def test_quad_tri_span_match_against_rational_elimination(n):
+    assert _rational_span_match(n)
+    assert quad_tri_span_match(n)
 
 
 def test_quad_tri_isomorphism_roundtrip():

@@ -7,9 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from forestalg.linalg import (BasisSolver, BitEchelon, FieldEchelon,
-                              HermiteEchelon, _row_comb, _row_sub, _xgcd,
-                              bit_rank, field_rank, kernel_basis_fast,
+from forestalg.linalg import (SPAN_PRIME, BasisSolver, BitEchelon,
+                              FieldEchelon, HermiteEchelon, _row_comb,
+                              _row_sub, _xgcd, bit_rank, field_rank,
+                              kernel_basis_fast, same_rational_span,
                               smith_divisors)
 
 
@@ -32,6 +33,36 @@ def test_field_echelon_same_span():
     b = FieldEchelon(None)
     b.extend([{0: 1, 2: -1}, {0: 1, 1: 2, 2: 1}])
     assert a.same_span(b)
+
+
+def test_same_rational_span_certificate():
+    P = SPAN_PRIME
+    right = [{0: 1}, {1: 1}]
+    assert same_rational_span([{0: 1, 1: 1}, {0: 1, 1: -1}], right)
+    # a row outside the right span
+    assert not same_rational_span([{0: 1}, {2: 1}], right)
+    # contained, but of lower rank over Q
+    assert not same_rational_span([{0: 1, 1: 1}], right)
+    # ranks that drop modulo P: the modular bound falls short, and only the
+    # exact comparison can decide either way
+    assert same_rational_span([{0: P}], [{0: 1}])
+    assert same_rational_span([{0: 1, 1: 1}, {0: 1, 1: 1 + P}], right)
+    assert not same_rational_span([{0: P}], right)
+    assert not same_rational_span([{0: 1, 1: 1}, {0: 1, 1: 1 + P}],
+                                  right + [{2: 1}])
+
+
+def test_same_rational_span_on_relation_rows():
+    from forestalg.lambda_alg import Presentation
+    tri = Presentation("tri", range(1, 7))
+    right = [r.terms for r in tri.relations()]
+    assert same_rational_span(right[::-1], right)
+    # every row scaled by P: zero modulo P, the same span over Q
+    assert same_rational_span([{c: SPAN_PRIME * v for c, v in r.items()}
+                               for r in right], right)
+    # a degree-2 monomial outside the relation span
+    forest = tri.monomial([(1, 2, 3), (3, 4, 5)]).terms
+    assert not same_rational_span(right + [forest], right)
 
 
 def test_modular_rank_matches_rational():
