@@ -146,13 +146,13 @@ def field_rank(rows, p: int | None = None) -> int:
     return ech.rank
 
 
-SPAN_PRIME = 2 ** 31 - 1
+MODULAR_PRIME = 2 ** 31 - 1
 
 
 def same_rational_span(left: list[dict], right: list[dict]) -> bool:
     """Whether the integer rows ``left`` and ``right`` span the same space
     over Q, proved by containment over Q and equal rank via the modular
-    lower bound rank_p <= rank_Q (p = ``SPAN_PRIME``):
+    lower bound rank_p <= rank_Q (p = ``MODULAR_PRIME``):
 
     - every left row reduces to zero against the Q echelon of the right
       rows (in ``int`` when, as for relation rows, its leads are +-1);
@@ -166,7 +166,7 @@ def same_rational_span(left: list[dict], right: list[dict]) -> bool:
     right_q.extend(right)
     if not all(right_q.contains(row) for row in left):
         return False
-    left_p, right_p = FieldEchelon(SPAN_PRIME), FieldEchelon(SPAN_PRIME)
+    left_p, right_p = FieldEchelon(MODULAR_PRIME), FieldEchelon(MODULAR_PRIME)
     right_p.extend(right)
     for row in left:
         if left_p.rank == right_q.rank:

@@ -26,11 +26,8 @@ from operator import or_
 
 from .forests import partition_of_edges
 from .lambda_alg import Presentation
-from .linalg import FieldEchelon, kernel_basis_fast
+from .linalg import MODULAR_PRIME, FieldEchelon, kernel_basis_fast
 from .series import assemble_partitions, odd_square_product_poly
-
-
-FAST_PRIME = 2 ** 31 - 1
 
 
 def _triples(labels) -> list[tuple]:
@@ -128,7 +125,7 @@ def duality_dimension_identity(n: int) -> bool:
 
 
 @lru_cache(maxsize=None)
-def dual_block_dimension(m: int, d: int, p: int | None = FAST_PRIME) -> int:
+def dual_block_dimension(m: int, d: int, p: int | None = MODULAR_PRIME) -> int:
     """dim of the connected block of the dual algebra: words of length d in
     the triples of {1..m} whose letter union spans {1..m} in one component,
     modulo the ideal slice of the explicit relation families.
@@ -193,7 +190,7 @@ def un_dimension(n: int, d: int, exact: bool | None = None) -> int:
         raise ValueError("degree bound exceeded")
     if exact is None:
         exact = n <= 6
-    p = None if exact else FAST_PRIME
+    p = None if exact else MODULAR_PRIME
     # as in lambda_alg.assembled_dimension, a block below degree d needs a
     # second block of at least three more labels
     blocks = {m: {dd: dual_block_dimension(m, dd, p)

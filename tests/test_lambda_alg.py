@@ -172,11 +172,10 @@ def _is_loose_cycle(chosen):
 
 
 def test_loose_cycle_lemma_against_enumeration():
-    # every cyclic block with size <= 7 and edges <= 4, enumerated the way
-    # the certificate once did: each connected spanning edge set has two
-    # triples sharing two labels or contains a loose cycle C_k with
-    # 3 <= k <= min(edges, size // 2), and the per-form rewrite closure
-    # kills every form
+    # every cyclic block with size <= 7 and edges <= 4, edge set by edge
+    # set: each connected spanning edge set has two triples sharing two
+    # labels or contains a loose cycle C_k with 3 <= k <= min(edges,
+    # size // 2), and the rewrite closure of all its forms kills every form
     linear_cyclic = 0
     for size in range(3, 8):
         for edges in range(1, 5):

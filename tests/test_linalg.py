@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from forestalg.linalg import (SPAN_PRIME, BasisSolver, BitEchelon,
+from forestalg.linalg import (MODULAR_PRIME, BasisSolver, BitEchelon,
                               FieldEchelon, HermiteEchelon, _row_comb,
                               _row_sub, _xgcd, bit_rank, field_rank,
                               kernel_basis_fast, same_rational_span,
@@ -36,7 +36,7 @@ def test_field_echelon_same_span():
 
 
 def test_same_rational_span_certificate():
-    P = SPAN_PRIME
+    P = MODULAR_PRIME
     right = [{0: 1}, {1: 1}]
     assert same_rational_span([{0: 1, 1: 1}, {0: 1, 1: -1}], right)
     # a row outside the right span
@@ -58,7 +58,7 @@ def test_same_rational_span_on_relation_rows():
     right = [r.terms for r in tri.relations()]
     assert same_rational_span(right[::-1], right)
     # every row scaled by P: zero modulo P, the same span over Q
-    assert same_rational_span([{c: SPAN_PRIME * v for c, v in r.items()}
+    assert same_rational_span([{c: MODULAR_PRIME * v for c, v in r.items()}
                                for r in right], right)
     # a degree-2 monomial outside the relation span
     forest = tri.monomial([(1, 2, 3), (3, 4, 5)]).terms
