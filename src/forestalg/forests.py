@@ -378,15 +378,6 @@ def merge_ternary_forest(labels, triangle_sequence) -> TernaryForest:
 # the signed pairing
 
 
-def _slot_inversion_sign(slots) -> int:
-    inv = 0
-    for i in range(len(slots)):
-        for j in range(i + 1, len(slots)):
-            if slots[i] > slots[j]:
-                inv += 1
-    return -1 if inv & 1 else 1
-
-
 def _eval_sign(degrees) -> int:
     """Koszul sign for pairing a tensor of functionals with a tensor of
     elements slotwise: (-1)^(sum_{i<j} d_i d_j)."""
@@ -425,8 +416,7 @@ def _pair_tree(tree: Tree, triangles: tuple) -> int:
     fiber_of = []
     for v in root:  # root is sorted; fiber indices form a permutation of 0,1,2
         fiber_of.append(next(i for i, s in enumerate(supports) if v in s))
-    sign = _slot_inversion_sign(slots)
-    sign *= perm_sign(fiber_of)
+    sign = perm_sign(slots) * perm_sign(fiber_of)
     for i, c in enumerate(children):
         r = _pair_tree(c, tuple(sub[i]))
         if r == 0:
@@ -469,7 +459,7 @@ def pairing_on_sequence(G: TernaryForest, triangles: tuple) -> int:
     for i, t in enumerate(G.trees):
         if len(sub[i]) != tree_internal_nodes(t):
             return 0
-    sign = _slot_inversion_sign(slots)
+    sign = perm_sign(slots)
     for i, t in enumerate(G.trees):
         r = _pair_tree(t, tuple(sub[i]))
         if r == 0:

@@ -23,7 +23,7 @@ from itertools import combinations, permutations
 from . import forests
 from .forests import TriangleGraph
 from .linalg import BasisSolver, same_rational_span, smith_divisors
-from .rings import GF2, QQ, ZZ
+from .rings import QQ, ZZ
 from .series import assemble_partitions, odd_square_product_poly
 from .skewpoly import (GeneratorUniverse, SkewPoly, ideal_slice,
                        quotient_dimension)
@@ -501,17 +501,14 @@ def quad_to_tri(x: SkewPoly, quad: Presentation, tri: Presentation) -> SkewPoly:
 
 
 @lru_cache(maxsize=None)
-def _degree_slice(variant: str, labels: tuple, degree: int, ring_tag: str):
-    ring = {"Q": QQ, "GF2": GF2, "Z": ZZ}[ring_tag]
+def _degree_slice(variant: str, labels: tuple, degree: int):
     p = Presentation(variant, labels)
-    rels = p.relations()  # integer relations span Z and Q slices as they are
-    if ring is GF2:
-        rels = [r.convert(GF2) for r in rels]
-    return ideal_slice(rels, degree, p.universe, ring)
+    return ideal_slice(p.relations(), degree, p.universe, QQ)
 
 
-def degree_slice(p: Presentation, degree: int, ring=QQ):
-    return _degree_slice(p.variant, p.labels, degree, ring.tag)
+def degree_slice(p: Presentation, degree: int):
+    """The degree slice over Q of the relation ideal of p (cached)."""
+    return _degree_slice(p.variant, p.labels, degree)
 
 
 @lru_cache(maxsize=None)
@@ -521,7 +518,7 @@ def _certified_basis(variant: str, labels: tuple, degree: int):
     dimension.  Returns (basic monomials, slice, and the coordinate solver
     over their normal forms)."""
     p = Presentation(variant, labels)
-    sl = _degree_slice(variant, labels, degree, "Q")
+    sl = _degree_slice(variant, labels, degree)
     basics = []
     for f in forests.enumerate_basic_forests(labels, degree):
         gids = []

@@ -13,6 +13,7 @@ representative).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations, permutations
 
 from .forests import TernaryForest, _eval_sign, tree_internal_nodes, tree_leaves
@@ -37,7 +38,7 @@ class FiniteMap:
             raise ValueError("assignment leaves the target")
         return cls(src, tgt, tuple(sorted(mapping.items())))
 
-    @property
+    @cached_property
     def mapping(self) -> dict:
         return dict(self.assignment)
 
@@ -126,25 +127,26 @@ class CooperadMap:
         nslots = len(self.slots)
         out: dict[tuple, object] = {}
         for mono, coeff in x.terms.items():
-            terms = [(tuple(() for _ in range(nslots)), coeff)]
+            terms = [(((),) * nslots, 1)]  # (slot monomials, sign)
             for gid in mono:
                 images = self._generator_image(gid)
                 new_terms = []
-                for key, c in terms:
+                for key, s in terms:
                     for slot, g2, sign in images:
-                        # Koszul: move the new odd generator past the later slots
-                        tail = sum(len(key[s]) for s in range(slot + 1, nslots))
                         prod = mul_monomials(key[slot], (g2,))
                         if prod is None:
                             continue
                         m2, s2 = prod
+                        # Koszul: move the new odd generator past the later slots
+                        if sum(map(len, key[slot + 1:])) & 1:
+                            s2 = -s2
                         key2 = key[:slot] + (m2,) + key[slot + 1:]
-                        new_terms.append((key2, c * sign * s2 * (-1) ** (tail & 1)))
+                        new_terms.append((key2, s * sign * s2))
                 terms = new_terms
                 if not terms:
                     break
-            for key, c in terms:
-                v = out.get(key, 0) + c
+            for key, s in terms:
+                v = out.get(key, 0) + coeff * s
                 if v:
                     out[key] = v
                 else:
@@ -163,7 +165,7 @@ class CooperadMap:
                     expansions.append([((), 1)])
                     continue
                 pres = self.slots[slot]
-                sl = degree_slice(pres, len(mono), QQ)
+                sl = degree_slice(pres, len(mono))
                 nf = sl.reduce(SkewPoly(QQ, {mono: 1}))
                 expansions.append(sorted(nf.terms.items()))
             stack = [((), coeff)]
@@ -373,66 +375,24 @@ def evaluate_forest(G: TernaryForest, x: SkewPoly, labels: tuple):
 
 
 def _evaluate_slots(children, supports, x: SkewPoly, labels: tuple, outer: str):
-    """Shared expansion: map labels to child indices, expand the coproduct,
-    pair slot 0 with tau (coefficient of the top generator) or with the point
-    class (coefficient of 1), and recurse into the fibers."""
-    label_to_slot = {}
-    for i, sup in enumerate(supports):
-        for v in sup:
-            label_to_slot[v] = i
-    if set(label_to_slot) != set(labels):
+    """Expand the tri coproduct along the map sending each label to its
+    child's index (1-based), pair slot 0 with tau (the top generator) or with
+    the point class (1), and recurse into the fibers: slot i+1 holds child
+    i's sorted support."""
+    mapping = {v: i + 1 for i, sup in enumerate(supports) for v in sup}
+    if len(mapping) != sum(map(len, supports)) or set(mapping) != set(labels):
         raise ValueError("children supports must partition the labels")
-    pres = Presentation("tri", labels)
-    outer_labels = tuple(range(1, len(children) + 1))
-    outer_pres = Presentation("tri", outer_labels)
-    slot_pres = [Presentation("tri", sup) for sup in supports]
-    func_degrees = ([1] if outer == "tau" else [0]) + \
-        [_child_degree(c) for c in children]
+    top = tuple(range(1, len(children) + 1))
+    cm = CooperadMap(FiniteMap.make(mapping, top), "tri")
+    outer_key = (cm.slots[0].universe.gen_id(top)[0],) if outer == "tau" else ()
+    degrees = [len(outer_key)] + [_child_degree(c) for c in children]
     total = 0
-    nslots = 1 + len(children)
-    for mono, coeff in x.terms.items():
-        key = [() for _ in range(nslots)]
-        sign = 1
-        dead = False
-        for gid in mono:
-            tup = pres.universe.label_tuple(gid)
-            slots_hit = {label_to_slot[v] for v in tup}
-            if len(slots_hit) == 3:
-                image = tuple(label_to_slot[v] + 1 for v in tup)
-                g2, s2 = outer_pres.universe.gen_id(image)
-                slot = 0
-                new_gen = g2
-            elif len(slots_hit) == 1:
-                slot = slots_hit.pop() + 1
-                g2, s2 = slot_pres[slot - 1].universe.gen_id(tup)
-                new_gen = g2
-            else:
-                dead = True
-                break
-            tail = sum(len(key[s]) for s in range(slot + 1, nslots))
-            prod = mul_monomials(key[slot], (new_gen,))
-            if prod is None:
-                dead = True
-                break
-            key[slot], s3 = prod
-            sign *= s2 * s3 * (-1) ** (tail & 1)
-        if dead:
+    for key, coeff in cm.apply(x).items():
+        if key[0] != outer_key or [len(m) for m in key[1:]] != degrees[1:]:
             continue
-        # pair slot 0
-        if outer == "tau":
-            top = outer_pres.universe.gen_id(outer_labels)
-            if key[0] != (top[0],):
-                continue
-        else:
-            if key[0] != ():
-                continue
-        slot_degrees = [1 if outer == "tau" else 0] + [len(k) for k in key[1:]]
-        if slot_degrees != func_degrees:
-            continue
-        value = coeff * sign * _eval_sign(func_degrees)
-        for i, c in enumerate(children):
-            sub = SkewPoly(QQ, {key[1 + i]: 1})
-            v = evaluate_tree(c, sub, supports[i])
+        value = coeff * _eval_sign(degrees)
+        for c, sup, mono in zip(children, supports, key[1:]):
+            v = evaluate_tree(c, SkewPoly(QQ, {mono: 1}), sup)
             if not v:
                 value = 0
                 break

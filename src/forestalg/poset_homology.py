@@ -18,6 +18,7 @@ from math import factorial
 
 from .forests import TriangleGraph, partition_of_edges
 from .linalg import HermiteEchelon, kernel_basis_fast, smith_divisors
+from .skewpoly import perm_sign
 
 
 Partition = tuple  # tuple of sorted tuples, ordered by minimum
@@ -197,10 +198,6 @@ def interval_homology_by_sizes(sizes: tuple) -> list[tuple[int, int, list[int]]]
     interior = [p for p in odd_partitions(labels)
                 if p != bottom and p != top and refines(p, top)]
     return homology_of_bounded(interior, lambda p: (n - len(p)) // 2)
-
-
-def interval_homology(poset: OddPartitionPoset, x: Partition):
-    return interval_homology_by_sizes(tuple(sorted(len(p) for p in x)))
 
 
 def _egf_expected(n: int) -> tuple[int, int]:
@@ -412,11 +409,7 @@ def tree_to_cycle(T: TriangleGraph, poset: OddPartitionPoset) -> dict[tuple, int
     e = len(edges)
     result: dict[tuple, int] = {}
     for perm in permutations(range(e)):
-        sign = 1
-        for i in range(e):
-            for j in range(i + 1, e):
-                if perm[i] > perm[j]:
-                    sign = -sign
+        sign = perm_sign(perm)
         chain = []
         for k in range(1, e):
             pi = partition_of_edges([edges[perm[i]] for i in range(k)], poset.labels)

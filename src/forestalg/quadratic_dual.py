@@ -13,8 +13,10 @@ slotwise pairing; it equals the span of the explicit commutator families
 because they are homogeneous for the partition grading by connected
 components of the letter multiset.
 
-Word-space dimensions run per connected block, modulo p = 2^31 - 1 on the
-fast path with exact rational elimination for the small/promoted cases.
+Word-space dimensions run per connected block by exact elimination over Q,
+so every reported dimension, and the inverse-Hilbert ``match``, is an
+equality over Q.  ``promoted_degrees`` in that report is always empty; it is
+kept for the stored reports.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from operator import or_
 
 from .forests import partition_of_edges
 from .lambda_alg import Presentation
-from .linalg import MODULAR_PRIME, FieldEchelon, kernel_basis_fast
+from .linalg import FieldEchelon, kernel_basis_fast
 from .series import assemble_partitions, odd_square_product_poly
 
 
@@ -125,12 +127,10 @@ def duality_dimension_identity(n: int) -> bool:
 
 
 @lru_cache(maxsize=None)
-def dual_block_dimension(m: int, d: int, p: int | None = MODULAR_PRIME) -> int:
-    """dim of the connected block of the dual algebra: words of length d in
-    the triples of {1..m} whose letter union spans {1..m} in one component,
-    modulo the ideal slice of the explicit relation families.
-
-    p = None runs the exact rational elimination."""
+def dual_block_dimension(m: int, d: int) -> int:
+    """dim over Q of the connected block of the dual algebra: words of length
+    d in the triples of {1..m} whose letter union spans {1..m} in one
+    component, modulo the ideal slice of the explicit relation families."""
     if m == 3:
         return 1 if d >= 0 else 0
     if m < 3 or d < 1 or 3 * d < m:
@@ -144,7 +144,7 @@ def dual_block_dimension(m: int, d: int, p: int | None = MODULAR_PRIME) -> int:
              if reduce(or_, (masks[g] for g in w)) == full
              and len(partition_of_edges([triples[g] for g in w], labels)) == 1]
     index = {w: i for i, w in enumerate(words)}
-    ech = FieldEchelon(p)
+    ech = FieldEchelon(None)
     relations = explicit_dual_rows(labels)
     rel_pairs = [[(divmod(c, D), v) for c, v in r.items()] for r in relations]
     for pairs in rel_pairs:
@@ -171,15 +171,9 @@ def dual_block_dimension(m: int, d: int, p: int | None = MODULAR_PRIME) -> int:
     return len(words) - ech.rank
 
 
-def un_dimension(n: int, d: int, exact: bool | None = None) -> int:
-    """dim of the degree-d piece of the dual algebra on n-1 labels.
-
-    Assembled over the partition grading from connected blocks.  The fast
-    path runs modulo 2^31 - 1; exact=True (default for n <= 6) reruns the
-    blocks with rational elimination.  A modular result that contradicts the
-    inverse-Hilbert prediction is promoted to the exact path automatically by
-    koszul_numerator_check.
-    """
+def un_dimension(n: int, d: int) -> int:
+    """dim over Q of the degree-d piece of the dual algebra on n-1 labels,
+    assembled over the partition grading from connected blocks."""
     if d < 0:
         return 0
     if d == 0:
@@ -188,12 +182,9 @@ def un_dimension(n: int, d: int, exact: bool | None = None) -> int:
         raise ValueError("degree bound exceeded (d <= 3, or d <= 4 for n <= 6)")
     if d > 4:
         raise ValueError("degree bound exceeded")
-    if exact is None:
-        exact = n <= 6
-    p = None if exact else MODULAR_PRIME
     # as in lambda_alg.assembled_dimension, a block below degree d needs a
     # second block of at least three more labels
-    blocks = {m: {dd: dual_block_dimension(m, dd, p)
+    blocks = {m: {dd: dual_block_dimension(m, dd)
                   for dd in range(1, d + 1)
                   if 3 * dd >= m and (dd == d or m + 3 <= n - 1)}
               for m in range(3, n)}
@@ -248,17 +239,10 @@ def ln_dimension_from_pbw(n: int, up_to_degree: int,
 
 
 def koszul_numerator_check(n: int, up_to_degree: int) -> dict:
-    """Computed dual dimensions against 1/P_n(-t); on a fast-path mismatch
-    the dimension is recomputed exactly before reporting."""
+    """Computed dual dimensions against 1/P_n(-t), exact over Q, so
+    ``match`` is an equality over Q.  ``promoted_degrees`` is always empty;
+    it is kept for the stored reports."""
     expected = inverse_hilbert_coefficients(n, up_to_degree)
-    dims = []
-    promoted = []
-    for d in range(up_to_degree + 1):
-        v = un_dimension(n, d)
-        if v != expected[d] and n > 6:
-            v = un_dimension(n, d, exact=True)
-            promoted.append(d)
-        dims.append(v)
-    return {"n": n, "dims": dims, "expected": expected[:up_to_degree + 1],
-            "match": dims == expected[:up_to_degree + 1],
-            "promoted_degrees": promoted}
+    dims = [un_dimension(n, d) for d in range(up_to_degree + 1)]
+    return {"n": n, "dims": dims, "expected": expected,
+            "match": dims == expected, "promoted_degrees": []}

@@ -216,10 +216,6 @@ class TruncatedSeries:
         return out
 
 
-def series_exp(s: TruncatedSeries) -> TruncatedSeries:
-    return s.exp()
-
-
 def arcsin_series(max_order: int) -> TruncatedSeries:
     """arcsin(u*sqrt(t))/sqrt(t) = sum ((2m)!/(4^m (m!)^2 (2m+1))) t^m u^(2m+1).
 

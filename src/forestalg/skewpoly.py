@@ -17,7 +17,9 @@ from .rings import GF2, QQ, ZZ, CoefficientRing, RingMismatchError
 
 
 def perm_sign(seq) -> int:
-    """Sign of the permutation sorting seq (distinct entries)."""
+    """(-1)^(number of strict inversions i < j, seq[j] < seq[i]); for
+    distinct entries, the sign of the permutation sorting seq.  Equal
+    entries count as no inversion."""
     seq = list(seq)
     sign = 1
     for i in range(len(seq)):

@@ -204,6 +204,17 @@ def test_tau_superantisymmetry():
         assert evaluate_tree(swapped2, x, labels5) == -evaluate_tree(base2, x, labels5)
 
 
+def test_evaluate_tree_rejects_supports_that_do_not_partition():
+    labels = (1, 2, 3, 4)
+    x = Presentation("tri", labels).term((1, 2, 3), ring=QQ)
+    with pytest.raises(ValueError):
+        evaluate_tree(("n", 1, 2, 3), x, labels)  # label 4 is missed
+    with pytest.raises(ValueError):
+        evaluate_tree(("n", 1, 2, ("n", 2, 3, 4)), x, labels)  # 2 twice
+    with pytest.raises(ValueError):
+        tau_compose(TernaryForest.make([("n", 1, 2, 3)]), x, labels)
+
+
 def test_tau_leibniz():
     # tau(w, x, y*z) = tau(w, x, y)*z + (-1)^(|y||z|) tau(w, x, z)*y
     labels = tuple(range(1, 9))
