@@ -177,6 +177,38 @@ def basic_trees(vertex_set) -> list[frozenset]:
     return out
 
 
+def triangle_trees(vertex_set) -> list[frozenset]:
+    """All triangle trees (3-uniform hypertrees) spanning exactly this vertex
+    set, as edge sets: (2k+1)^(k-1) (2k-1)!! of them on 2k+1 vertices.
+
+    A tree on (r, x, ...) is built once, from its edge {r, a, b} at r whose
+    side holds x: removing that edge leaves trees on three odd parts rooted
+    at r, a and b, and x is not in r's part."""
+    memo: dict[tuple, list] = {}
+
+    def rec(vs: tuple) -> list[frozenset]:
+        if len(vs) == 1:
+            return [frozenset()]
+        if vs in memo:
+            return memo[vs]
+        r, x = vs[0], vs[1]
+        out = []
+        for a, b in combinations(vs[1:], 2):
+            others = tuple(v for v in vs[1:] if v != a and v != b)
+            for pr, pa, pb in _tripartitions_even(others):
+                if x in pr:
+                    continue
+                for tr in rec((r,) + pr):
+                    for ta in rec((a,) + pa):
+                        for tb in rec((b,) + pb):
+                            out.append(tr | ta | tb | {tuple(sorted((r, a, b)))})
+        memo[vs] = out
+        return out
+
+    vs = tuple(sorted(vertex_set))
+    return rec(vs) if len(vs) % 2 else []
+
+
 def _tripartitions_even(items: tuple):
     """Ordered partitions of items into three (possibly empty) even-size parts."""
     n = len(items)

@@ -7,8 +7,10 @@ Degreewise quotient dimensions are computed through the partition grading:
 every relation is homogeneous for the grading by connected components of the
 monomial's triangle graph, so each ideal slice splits into blocks indexed by
 set partitions and only connected blocks (cached per size and relabeled) need
-actual linear algebra; a block with a cycle is zero by the loose-cycle lemma
-of ``_assert_cyclic_block_dies``.  The quad presentation has linear relations;
+actual linear algebra.  A tree block is built from its own columns, the
+triangle trees on its labels, and only the rows that meet them
+(``_tree_block``); a block with a cycle is zero by the loose-cycle lemma of
+``_assert_cyclic_block_dies``.  The quad presentation has linear relations;
 those are eliminated first (the lattice they span is verified unimodular),
 after which its quadratic relations are compared against the tri
 presentation's span: equality over Q, proved by containment over Q and equal
@@ -26,7 +28,7 @@ from .linalg import BasisSolver, same_rational_span, smith_divisors
 from .rings import QQ, ZZ
 from .series import assemble_partitions, odd_square_product_poly
 from .skewpoly import (GeneratorUniverse, SkewPoly, ideal_slice,
-                       quotient_dimension)
+                       mul_monomials, quotient_dimension)
 
 
 VARIANTS = ("quad", "tri", "twisted")
@@ -165,17 +167,33 @@ def _relations_cached(variant: str, labels: tuple) -> list[SkewPoly]:
 # connected blocks of the partition grading
 
 
-def _connected_filter(universe: GeneratorUniverse):
-    all_labels = universe.labels
+def _tree_block(p: Presentation):
+    """Columns and rows of the tree block on all of p's labels (an odd
+    number s = 2e+1 of them, in degree e).
 
-    def ok(monomial) -> bool:
-        edges = [universe.label_tuple(g) for g in monomial]
-        if not edges:
-            return False
-        parts = forests.partition_of_edges(edges, all_labels)
-        return len(parts) == 1
-
-    return ok
+    The columns are the triangle trees on the labels, as increasing gid
+    tuples in increasing order.  A row m * r meets the block only where m
+    times a term t of r is a column T, so t lies in T and m = T - t: the
+    rows are the distinct (relation index, T - t) over every column T and
+    every term t inside it, in the order of the full slice (relation by
+    relation, multipliers increasing)."""
+    index = p.universe.index
+    columns = sorted(tuple(sorted(index[e] for e in tree))
+                     for tree in forests.triangle_trees(p.labels))
+    relations = p.relations()
+    containing: dict[tuple, list[int]] = {}
+    for i, r in enumerate(relations):
+        for t in r.terms:
+            containing.setdefault(t, []).append(i)
+    degrees = sorted({len(t) for t in containing})
+    products = set()
+    for col in columns:
+        for d in degrees:
+            for t in combinations(col, d):
+                if t in containing:
+                    mult = tuple(g for g in col if g not in t)
+                    products.update((i, mult) for i in containing[t])
+    return columns, sorted(products)
 
 
 @lru_cache(maxsize=None)
@@ -183,12 +201,15 @@ def block_dimension(variant: str, size: int, edges: int, with_divisors: bool = F
     """Quotient dimension of the connected block: monomials whose triangle
     graph spans {1..size} in one component, with the given edge count.
 
-    Tree-type blocks (odd size, edges = (size-1)/2) get actual linear algebra;
-    every other connected block consists of cyclic monomials only (incidence
-    count), and those vanish by the loose-cycle certificate below.  Returns
-    dim, or (dim, elementary divisors) over Z when requested.  Blocks inside a
-    larger label set have the same dimension by relabeling (the relation
-    families are stable under label bijections).
+    Tree-type blocks (odd size, edges = (size-1)/2) get actual linear algebra
+    over the triangle-tree columns and the rows ``_tree_block`` reads off
+    them, the same rows in the same order as a filter over the whole degree
+    slice would keep; every other connected block consists of cyclic
+    monomials only (incidence count), and those vanish by the loose-cycle
+    certificate below.  Returns dim, or (dim, elementary divisors) over Z
+    when requested.  Blocks inside a larger label set have the same
+    dimension by relabeling (the relation families are stable under label
+    bijections).
     """
     if variant == "quad":
         raise ValueError("partition blocks exist for 3-index variants only")
@@ -202,9 +223,9 @@ def block_dimension(variant: str, size: int, edges: int, with_divisors: bool = F
         return (0, []) if with_divisors else 0
     if 2 * edges == size - 1:
         p = Presentation(variant, range(1, size + 1))
+        columns, products = _tree_block(p)
         return quotient_dimension(p.relations(), edges, p.universe, QQ,
-                                  column_filter=_connected_filter(p.universe),
-                                  with_divisors=with_divisors)
+                                  columns, products, with_divisors)
     # cyclic block: 2 * edges > size - 1, so every monomial's incidence
     # graph has a cycle, and the loose-cycle certificate makes it zero
     _assert_cyclic_block_dies(size, edges)
@@ -470,30 +491,26 @@ def expected_euler_characteristic(n: int) -> int:
 # isomorphism between the quad and tri presentations
 
 
-def _substitute(x: SkewPoly, image) -> SkewPoly:
-    """The ring map sending each generator gid to the polynomial image(gid)."""
-    out = SkewPoly.zero(x.ring)
-    for m, c in x.terms.items():
-        acc = SkewPoly.one(x.ring).scale(c)
-        for gid in m:
-            acc = acc * image(gid)
-        out = out + acc
-    return out
-
-
-def tri_to_quad(x: SkewPoly, tri: Presentation, quad: Presentation) -> SkewPoly:
-    """Three-index generator (i,j,k) on labels {1..n-1} maps to the four-index
-    generator (i,j,k,n)."""
-    return _substitute(x, lambda gid: quad.term(
-        tri.universe.label_tuple(gid) + (quad.n,), ring=x.ring))
-
-
 def quad_to_tri(x: SkewPoly, quad: Presentation, tri: Presentation) -> SkewPoly:
-    """Inverse on generators: solve the unique 5-term linear relation through
-    the top label for generators not containing it."""
+    """Rewrite x in the three-index generators on labels {1..n-1}: a
+    generator containing the top label n drops it, and any other is solved
+    from its 5-term linear relation through n (``_quad_linear_data``)."""
     subst, _ = _quad_linear_data(quad.n)
-    return _substitute(x, lambda gid: SkewPoly(
-        x.ring, {(tg,): v for tg, v in subst[gid].items()}))
+    out: dict[tuple, object] = {}
+    for mono, c in x.terms.items():
+        terms = {(): c}
+        for gid in mono:
+            expanded: dict[tuple, object] = {}
+            for m, v in terms.items():
+                for tg, s in subst[gid].items():
+                    prod = mul_monomials(m, (tg,))
+                    if prod is not None:
+                        key, sign = prod
+                        expanded[key] = expanded.get(key, 0) + sign * s * v
+            terms = expanded
+        for m, v in terms.items():
+            out[m] = out.get(m, 0) + v
+    return SkewPoly(x.ring, out)
 
 
 # ---------------------------------------------------------------------------

@@ -140,8 +140,9 @@ class FieldEchelon:
                 and all(self.contains(r) for r in other.pivots.values()))
 
 
-def field_rank(rows, p: int | None = None) -> int:
-    ech = FieldEchelon(p)
+def field_rank(rows) -> int:
+    """Rank over Q."""
+    ech = FieldEchelon(None)
     ech.extend(rows)
     return ech.rank
 

@@ -13,7 +13,7 @@ representative).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import combinations, permutations
 
 from .forests import TernaryForest, _eval_sign, tree_internal_nodes, tree_leaves
@@ -178,6 +178,12 @@ class CooperadMap:
                 else:
                     acc.pop(k, None)
         return not acc
+
+
+@lru_cache(maxsize=None)
+def _cooperad_map(f: FiniteMap, flavor: str) -> CooperadMap:
+    """One CooperadMap per (map, flavor), shared by every evaluation."""
+    return CooperadMap(f, flavor)
 
 
 def delta_f(f: FiniteMap, x: SkewPoly, flavor: str = "quad") -> dict:
@@ -383,7 +389,7 @@ def _evaluate_slots(children, supports, x: SkewPoly, labels: tuple, outer: str):
     if len(mapping) != sum(map(len, supports)) or set(mapping) != set(labels):
         raise ValueError("children supports must partition the labels")
     top = tuple(range(1, len(children) + 1))
-    cm = CooperadMap(FiniteMap.make(mapping, top), "tri")
+    cm = _cooperad_map(FiniteMap.make(mapping, top), "tri")
     outer_key = (cm.slots[0].universe.gen_id(top)[0],) if outer == "tau" else ()
     degrees = [len(outer_key)] + [_child_degree(c) for c in children]
     total = 0

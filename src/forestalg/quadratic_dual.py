@@ -22,11 +22,9 @@ kept for the stored reports.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache, reduce
-from itertools import combinations, product
-from operator import or_
+from functools import lru_cache
+from itertools import combinations, combinations_with_replacement, permutations
 
-from .forests import partition_of_edges
 from .lambda_alg import Presentation
 from .linalg import FieldEchelon, kernel_basis_fast
 from .series import assemble_partitions, odd_square_product_poly
@@ -113,61 +111,103 @@ def dual_span_matches_explicit(n: int) -> bool:
     return left.same_span(right)
 
 
-def duality_dimension_identity(n: int) -> bool:
-    """dim R + dim R-perp accounts for the whole tensor square."""
-    D = len(_triples(range(1, n)))
-    r_rank = FieldEchelon(None)
-    r_rank.extend(primal_relation_rows(n))
-    perp = annihilator_rows(n)
-    return r_rank.rank + len(perp) == D * D
-
-
 # ---------------------------------------------------------------------------
 # blocked word-space dimensions
+
+
+def _connected_letter_sets(masks: list[int], m: int, most: int) -> set:
+    """The sets of at most ``most`` letters (indices into ``masks``, the
+    label bit masks of the triples) that are connected and cover all m
+    labels, grown letter by letter from the letters holding label 1: each
+    added letter meets the union so far, so it brings at most two new
+    labels."""
+    full = (1 << m) - 1
+    found = set()
+    seen = set()
+    stack = [(frozenset([g]), mask) for g, mask in enumerate(masks) if mask & 1]
+    while stack:
+        letters, cover = stack.pop()
+        if letters in seen:
+            continue
+        seen.add(letters)
+        if cover == full:
+            found.add(letters)
+        left = most - len(letters)
+        if not left or bin(full & ~cover).count("1") > 2 * left:
+            continue
+        for g, mask in enumerate(masks):
+            if mask & cover and g not in letters:
+                stack.append((letters | {g}, cover | mask))
+    return found
+
+
+def _dual_block(m: int, d: int) -> tuple[list[tuple], list[dict]]:
+    """Words and relation rows of the connected block (m, d), 2d + 1 >= m.
+
+    The words are the distinct orderings of the connected, spanning letter
+    multisets, in increasing order.  A row u (x) r (x) w meets the block
+    only where a word of the block has a term (a, b) of r right after u, so
+    the rows are the distinct (relation, position, u, w) read off the
+    adjacent letter pairs of the block's words, in the order of relation,
+    position, u and w: the order of a loop over every placement."""
+    labels = tuple(range(1, m + 1))
+    triples = _triples(labels)
+    D = len(triples)
+    masks = [sum(1 << (v - 1) for v in t) for t in triples]
+    words = set()
+    for letters in _connected_letter_sets(masks, m, d):
+        for multiset in combinations_with_replacement(sorted(letters), d):
+            if len(set(multiset)) == len(letters):
+                words.update(permutations(multiset))
+    words = sorted(words)
+    index = {w: i for i, w in enumerate(words)}
+    rel_pairs = [[(divmod(c, D), v) for c, v in r.items()]
+                 for r in explicit_dual_rows(labels)]
+    containing: dict[tuple, list[int]] = {}
+    for k, pairs in enumerate(rel_pairs):
+        for ab, _ in pairs:
+            containing.setdefault(ab, []).append(k)
+    keys = set()
+    for word in words:
+        for i in range(d - 1):
+            for k in containing.get(word[i:i + 2], ()):
+                keys.add((k, i, word[:i], word[i + 2:]))
+    rows = []
+    for k, i, u, w in sorted(keys):
+        row: dict[int, int] = {}
+        outside = 0
+        for (a, b), v in rel_pairs[k]:
+            col = index.get(u + (a, b) + w)
+            if col is None:
+                outside += 1
+                continue
+            nv = row.get(col, 0) + v
+            if nv:
+                row[col] = nv
+            else:
+                row.pop(col, None)
+        if outside and row:
+            raise AssertionError("relation row straddles a block")
+        if row:
+            rows.append(row)
+    return words, rows
 
 
 @lru_cache(maxsize=None)
 def dual_block_dimension(m: int, d: int) -> int:
     """dim over Q of the connected block of the dual algebra: words of length
     d in the triples of {1..m} whose letter union spans {1..m} in one
-    component, modulo the ideal slice of the explicit relation families."""
+    component, modulo the ideal slice of the explicit relation families.
+    d connected letters cover at most 2d + 1 labels, so the block is empty
+    beyond that; otherwise ``_dual_block`` builds it from its words."""
     if m == 3:
         return 1 if d >= 0 else 0
-    if m < 3 or d < 1 or 3 * d < m:
+    if m < 3 or d < 1 or 2 * d + 1 < m:
         return 0
-    labels = tuple(range(1, m + 1))
-    triples = _triples(labels)
-    D = len(triples)
-    masks = [sum(1 << (v - 1) for v in t) for t in triples]
-    full = (1 << m) - 1
-    words = [w for w in product(range(D), repeat=d)
-             if reduce(or_, (masks[g] for g in w)) == full
-             and len(partition_of_edges([triples[g] for g in w], labels)) == 1]
-    index = {w: i for i, w in enumerate(words)}
+    words, rows = _dual_block(m, d)
     ech = FieldEchelon(None)
-    relations = explicit_dual_rows(labels)
-    rel_pairs = [[(divmod(c, D), v) for c, v in r.items()] for r in relations]
-    for pairs in rel_pairs:
-        for i in range(d - 1):
-            for u in product(range(D), repeat=i):
-                for w in product(range(D), repeat=d - 2 - i):
-                    row: dict[int, int] = {}
-                    outside = 0
-                    for (a, b), v in pairs:
-                        word = u + (a, b) + w
-                        col = index.get(word)
-                        if col is None:
-                            outside += 1
-                            continue
-                        nv = row.get(col, 0) + v
-                        if nv:
-                            row[col] = nv
-                        else:
-                            row.pop(col, None)
-                    if outside and row:
-                        raise AssertionError("relation row straddles a block")
-                    if row:
-                        ech.add(row)
+    for row in rows:
+        ech.add(row)
     return len(words) - ech.rank
 
 

@@ -345,15 +345,18 @@ def _admits(ring: CoefficientRing, rel_ring: CoefficientRing) -> bool:
 
 def ideal_slice(relations: list[SkewPoly], degree: int,
                 universe: GeneratorUniverse, ring: CoefficientRing,
-                column_filter=None) -> IdealSlice:
+                columns=None, products=None) -> IdealSlice:
     """Build and echelonize the degree-d slice of the two-sided ideal.
 
     Relations are over ``ring``, or over Z for a slice over Q; rows are built
     from their coefficients with plain arithmetic, so integer relations give
-    integer rows.  ``column_filter`` restricts to a partition block: columns
-    keep only the monomials passing the filter, and every generated row must
-    lie entirely inside or outside the block (relations here are
-    partition-homogeneous).
+    integer rows.  ``products`` lists the rows as (index into relations,
+    multiplier monomial) pairs, in the order they are eliminated; by default
+    every relation times every multiplier of complementary degree, relation
+    by relation.  ``columns`` restricts to a partition block, given as its
+    monomials in increasing order: rows with no term in the block are
+    skipped, and a row with terms on both sides raises (relations here are
+    partition-homogeneous).  Both default to the full slice.
     """
     for r in relations:
         if not r.is_homogeneous():
@@ -361,8 +364,13 @@ def ideal_slice(relations: list[SkewPoly], degree: int,
         if r and not _admits(ring, r.ring):
             raise RingMismatchError("relation ring mismatch")
 
-    columns = [m for m in universe.monomials(degree)
-               if column_filter is None or column_filter(m)]
+    block = columns is not None
+    if not block:
+        columns = list(universe.monomials(degree))
+    if products is None:
+        products = ((i, mult) for i, r in enumerate(relations)
+                    if r and r.degree() <= degree
+                    for mult in universe.monomials(degree - r.degree()))
     sl_echelon = {QQ: lambda: FieldEchelon(None), GF2: lambda: FieldEchelon(2),
                   ZZ: HermiteEchelon}.get(ring)
     if sl_echelon is None:
@@ -372,44 +380,38 @@ def ideal_slice(relations: list[SkewPoly], degree: int,
                            raw_rows=[] if ring is ZZ else None)
     col_of = slice_obj.col_of
 
-    for r in relations:
-        if not r:
+    for i, mult in products:
+        # distinct relation monomials stay distinct after multiplying by
+        # one monomial, so every product is a separate term of the row
+        row_terms = {}
+        for m, c in relations[i].terms.items():
+            prod = mul_monomials(mult, m)
+            if prod is not None:
+                mono, sign = prod
+                row_terms[mono] = c if sign == 1 else -c
+        if not row_terms:
             continue
-        d_r = r.degree()
-        if d_r > degree:
-            continue
-        for mult in universe.monomials(degree - d_r):
-            # distinct relation monomials stay distinct after multiplying by
-            # one monomial, so every product is a separate term of the row
-            row_terms = {}
-            for m, c in r.terms.items():
-                prod = mul_monomials(mult, m)
-                if prod is not None:
-                    mono, sign = prod
-                    row_terms[mono] = c if sign == 1 else -c
-            if not row_terms:
+        if block:
+            inside = [m in col_of for m in row_terms]
+            if not any(inside):
                 continue
-            if column_filter is not None:
-                inside = [m in col_of for m in row_terms]
-                if not any(inside):
-                    continue
-                if not all(inside):
-                    raise AssertionError("row straddles the column filter")
-            row = {col_of[m]: c for m, c in row_terms.items()}
-            if ring is ZZ:
-                slice_obj._raw_rows.append(dict(row))
-            echelon.add(row)
+            if not all(inside):
+                raise AssertionError("row straddles the block columns")
+        row = {col_of[m]: c for m, c in row_terms.items()}
+        if ring is ZZ:
+            slice_obj._raw_rows.append(dict(row))
+        echelon.add(row)
     return slice_obj
 
 
-def quotient_dimension(relations, degree, universe, ring=QQ,
-                       column_filter=None, with_divisors=False):
+def quotient_dimension(relations, degree, universe, ring=QQ, columns=None,
+                       products=None, with_divisors=False):
     """Dimension of (degree-d monomial span)/(ideal slice); optionally also
     the elementary divisors of the slice over Z (torsion certificate)."""
     ring_for_rank = ZZ if with_divisors else ring
     sl = ideal_slice([r if _admits(ring_for_rank, r.ring)
                       else r.convert(ring_for_rank) for r in relations],
-                     degree, universe, ring_for_rank, column_filter)
+                     degree, universe, ring_for_rank, columns, products)
     dim = sl.quotient_dimension()
     if with_divisors:
         return dim, sl.elementary_divisors()

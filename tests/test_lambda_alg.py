@@ -10,11 +10,10 @@ from forestalg.lambda_alg import (Presentation, basic_forest_complex_homology,
                                   expected_euler_characteristic,
                                   forest_normal_form, hilbert_polynomial,
                                   partition_component_dims, quad_to_tri,
-                                  quad_tri_span_match, tri_to_quad,
-                                  whitney_differential)
+                                  quad_tri_span_match, whitney_differential)
 from forestalg.linalg import FieldEchelon
 from forestalg.rings import QQ, ZZ
-from forestalg.skewpoly import SkewPoly, ideal_slice
+from forestalg.skewpoly import SkewPoly, ideal_slice, mul_monomials
 
 
 def _relations_over_all_words(variant, labels):
@@ -142,6 +141,53 @@ def test_block_dimension_values():
     assert block_dimension("twisted", 5, 2) == 9
 
 
+def _filtered_block(p, edges):
+    """Oracle: the connected block on all of p's labels by filtering the
+    whole ring: every degree-`edges` monomial whose triangle graph is one
+    component covering the labels, and every relation times every
+    multiplier, in that loop order, kept when a term lands in the block."""
+    universe = p.universe
+    columns = [m for m in universe.monomials(edges) if len(
+        forests.partition_of_edges([universe.label_tuple(g) for g in m],
+                                   universe.labels)) == 1]
+    inside = set(columns)
+    products = []
+    for i, r in enumerate(p.relations()):
+        for mult in universe.monomials(edges - r.degree()):
+            prods = [mul_monomials(mult, m) for m in r.terms]
+            if any(pr is not None and pr[0] in inside for pr in prods):
+                products.append((i, mult))
+    return columns, products
+
+
+@pytest.mark.parametrize("variant", ["tri", "twisted"])
+def test_tree_block_matches_the_filtered_ring(variant):
+    # the triangle-tree columns and the column-driven rows are the filtered
+    # columns and rows, in the same order
+    for size in (3, 5, 7):
+        p = Presentation(variant, range(1, size + 1))
+        assert lambda_alg._tree_block(p) == _filtered_block(p, size // 2)
+
+
+def test_triangle_tree_count():
+    for k in (1, 2, 3, 4):
+        trees = forests.triangle_trees(range(1, 2 * k + 2))
+        assert len(set(trees)) == len(trees)
+        assert len(trees) == (2 * k + 1) ** (k - 1) * lambda_alg.double_factorial(2 * k - 1)
+    assert forests.triangle_trees(range(4)) == []
+
+
+def test_block_slice_rejects_a_straddling_row():
+    # drop one column of the (5, 2) block: some row now has a term on
+    # either side of the columns
+    p = Presentation("tri", range(1, 6))
+    columns, products = lambda_alg._tree_block(p)
+    assert ideal_slice(p.relations(), 2, p.universe, QQ, columns,
+                       products).quotient_dimension() == 9
+    with pytest.raises(AssertionError, match="straddles"):
+        ideal_slice(p.relations(), 2, p.universe, QQ, columns[1:], products)
+
+
 def _connected_spanning_edge_sets(size, edges):
     """Oracle: every set of `edges` triples on range(size) whose triangle
     graph is connected and covers every label, by enumeration."""
@@ -227,6 +273,19 @@ def _rational_span_match(n):
 def test_quad_tri_span_match_against_rational_elimination(n):
     assert _rational_span_match(n)
     assert quad_tri_span_match(n)
+
+
+def tri_to_quad(x: SkewPoly, tri: Presentation, quad: Presentation) -> SkewPoly:
+    """Three-index generator (i,j,k) on labels {1..n-1} maps to the four-index
+    generator (i,j,k,n)."""
+    out = SkewPoly.zero(x.ring)
+    for m, c in x.terms.items():
+        acc = SkewPoly.one(x.ring).scale(c)
+        for gid in m:
+            acc = acc * quad.term(tri.universe.label_tuple(gid) + (quad.n,),
+                                  ring=x.ring)
+        out = out + acc
+    return out
 
 
 def test_quad_tri_isomorphism_roundtrip():

@@ -70,7 +70,9 @@ def test_modular_rank_matches_rational():
     for _ in range(10):
         rows = [{c: rng.randint(-3, 3) for c in rng.sample(range(8), 4)}
                 for _ in range(6)]
-        assert field_rank(rows) == field_rank(rows, p=2 ** 31 - 1)
+        modular = FieldEchelon(2 ** 31 - 1)
+        modular.extend(rows)
+        assert field_rank(rows) == modular.rank
 
 
 def test_bit_echelon():

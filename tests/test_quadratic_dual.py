@@ -1,20 +1,32 @@
 from fractions import Fraction
 from itertools import combinations, product
+from math import comb
 
 import pytest
 
-from forestalg.quadratic_dual import (dual_block_dimension,
+from forestalg import quadratic_dual
+from forestalg.linalg import FieldEchelon
+from forestalg.quadratic_dual import (annihilator_rows, dual_block_dimension,
                                       dual_span_matches_explicit,
-                                      duality_dimension_identity,
                                       explicit_dual_rows,
                                       inverse_hilbert_coefficients,
                                       koszul_numerator_check,
-                                      ln_dimension_from_pbw, un_dimension)
+                                      ln_dimension_from_pbw,
+                                      primal_relation_rows, un_dimension)
 
 
 def test_span_matches_explicit():
     for n in (4, 5, 6, 7):
         assert dual_span_matches_explicit(n)
+
+
+def duality_dimension_identity(n: int) -> bool:
+    """dim R + dim R-perp accounts for the whole tensor square."""
+    D = comb(n - 1, 3)
+    r_rank = FieldEchelon(None)
+    r_rank.extend(primal_relation_rows(n))
+    perp = annihilator_rows(n)
+    return r_rank.rank + len(perp) == D * D
 
 
 def test_duality_dimension_identity():
@@ -46,18 +58,16 @@ def test_block_dimensions():
         assert dual_block_dimension(m, d) == _fraction_block_dimension(m, d)
 
 
-def _fraction_block_dimension(m: int, d: int) -> int:
-    """The connected block (m, d) of the dual algebra by Gaussian elimination
-    over Fraction: length-d words in the triples of {1..m} whose letters
-    form one component covering {1..m}, modulo every placement u + r + w of
-    an explicit relation r whose words lie in the block."""
-    labels = tuple(range(1, m + 1))
-    triples = list(combinations(labels, 3))
-    D = len(triples)
+def _filtered_words(m: int, d: int) -> list[tuple]:
+    """Oracle: every length-d word in the triples of {1..m} whose letters
+    form one component covering {1..m}, filtered from all words in
+    ``product`` order."""
+    labels = set(range(1, m + 1))
+    triples = list(combinations(sorted(labels), 3))
 
     def in_block(word) -> bool:
         letters = [set(triples[g]) for g in word]
-        if set().union(*letters) != set(labels):
+        if set().union(*letters) != labels:
             return False
         reached = letters.pop()
         while letters:
@@ -69,7 +79,53 @@ def _fraction_block_dimension(m: int, d: int) -> int:
                 letters.remove(s)
         return True
 
-    words = {w for w in product(range(D), repeat=d) if in_block(w)}
+    return [w for w in product(range(len(triples)), repeat=d) if in_block(w)]
+
+
+def _filtered_dual_block(m: int, d: int) -> tuple[list, list]:
+    """Oracle: the words of the block (m, d) and, in loop order over
+    relation, position, u and w, every placement u + r + w of an explicit
+    relation r with a word in the block, as a row over the words."""
+    D = comb(m, 3)
+    words = _filtered_words(m, d)
+    index = {w: i for i, w in enumerate(words)}
+    rows = []
+    for rel in explicit_dual_rows(tuple(range(1, m + 1))):
+        pairs = [(divmod(c, D), v) for c, v in rel.items()]
+        for i in range(d - 1):
+            for u, w in product(product(range(D), repeat=i),
+                                product(range(D), repeat=d - 2 - i)):
+                row: dict[int, int] = {}
+                for (a, b), v in pairs:
+                    col = index.get(u + (a, b) + w)
+                    if col is not None:
+                        row[col] = row.get(col, 0) + v
+                row = {k: v for k, v in row.items() if v}
+                if row:
+                    rows.append(row)
+    return words, rows
+
+
+def test_dual_block_matches_the_filtered_words():
+    # the words built from connected letter sets and the rows read off
+    # their letter pairs are the filtered words and rows, in the same order
+    for m in range(3, 8):
+        for d in range(1, 4):
+            words, rows = _filtered_dual_block(m, d)
+            if 2 * d + 1 < m:
+                assert not words and dual_block_dimension(m, d) == 0
+            else:
+                assert quadratic_dual._dual_block(m, d) == (words, rows)
+
+
+def _fraction_block_dimension(m: int, d: int) -> int:
+    """The connected block (m, d) of the dual algebra by Gaussian elimination
+    over Fraction: length-d words in the triples of {1..m} whose letters
+    form one component covering {1..m}, modulo every placement u + r + w of
+    an explicit relation r whose words lie in the block."""
+    labels = tuple(range(1, m + 1))
+    D = comb(m, 3)
+    words = set(_filtered_words(m, d))
     rows = []
     for rel in explicit_dual_rows(labels):
         pairs = [(divmod(c, D), Fraction(v)) for c, v in rel.items()]
