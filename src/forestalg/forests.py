@@ -13,6 +13,7 @@ forests is what certifies the bases.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
 
 from .skewpoly import perm_sign
@@ -157,24 +158,28 @@ def is_basic(g: TriangleGraph):
 
 def basic_trees(vertex_set) -> list[frozenset]:
     """All basic triangle trees spanning exactly this vertex set (edge sets)."""
-    vs = tuple(sorted(vertex_set))
+    return list(_basic_trees(tuple(sorted(vertex_set))))
+
+
+@lru_cache(maxsize=None)
+def _basic_trees(vs: tuple) -> tuple:
+    """basic_trees on a sorted vertex tuple, kept per process."""
     n = len(vs)
     if n % 2 == 0:
-        return []
+        return ()
     if n == 1:
-        return [frozenset()]
+        return (frozenset(),)
     a, b = vs[0], vs[1]
     rest = vs[2:]
     out = []
     for k in rest:
         others = tuple(v for v in rest if v != k)
-        for assignment in _tripartitions_even(others):
-            p1, p2, p3 = assignment
-            for t1 in basic_trees((a,) + p1):
-                for t2 in basic_trees((b,) + p2):
-                    for t3 in basic_trees((k,) + p3):
+        for p1, p2, p3 in _tripartitions_even(others):
+            for t1 in _basic_trees((a,) + p1):
+                for t2 in _basic_trees((b,) + p2):
+                    for t3 in _basic_trees(tuple(sorted((k,) + p3))):
                         out.append(t1 | t2 | t3 | {tuple(sorted((a, b, k)))})
-    return out
+    return tuple(out)
 
 
 def triangle_trees(vertex_set) -> list[frozenset]:
@@ -211,17 +216,27 @@ def triangle_trees(vertex_set) -> list[frozenset]:
 
 def _tripartitions_even(items: tuple):
     """Ordered partitions of items into three (possibly empty) even-size parts."""
-    n = len(items)
+    for pattern in _even_tripartition_patterns(len(items)):
+        yield tuple(tuple(items[i] for i in part) for part in pattern)
+
+
+@lru_cache(maxsize=None)
+def _even_tripartition_patterns(n: int) -> tuple:
+    """_tripartitions_even of range(n): the assignments of n indices to three
+    bins (index i to bin mask // 3**i % 3), in mask order, that leave every
+    bin even."""
     if n % 2:
-        return
+        return ()
+    out = []
     for mask in range(3 ** n):
         bins = ([], [], [])
         m = mask
-        for x in items:
-            bins[m % 3].append(x)
+        for i in range(n):
+            bins[m % 3].append(i)
             m //= 3
         if all(len(b) % 2 == 0 for b in bins):
-            yield tuple(tuple(b) for b in bins)
+            out.append(tuple(tuple(b) for b in bins))
+    return tuple(out)
 
 
 def enumerate_basic_forests(labels, num_edges: int) -> list[TriangleGraph]:
@@ -243,7 +258,7 @@ def enumerate_basic_forests(labels, num_edges: int) -> list[TriangleGraph]:
                 comp = (first,) + extra
                 comp_set = set(comp)
                 rem2 = tuple(v for v in rest if v not in comp_set)
-                for tree in basic_trees(comp):
+                for tree in _basic_trees(comp):
                     for tail in rec(rem2, edges_left - j):
                         yield tree | tail
 

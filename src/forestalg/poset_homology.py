@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 from math import factorial
 
 from .forests import TriangleGraph, partition_of_edges
@@ -98,15 +98,32 @@ class OddPartitionPoset:
 # chain complexes of bounded posets
 
 
+@lru_cache(maxsize=None)
+def _index_groupings(k: int) -> tuple:
+    """The odd partitions of range(k) other than the singletons: the ways to
+    merge the parts of a k-part odd partition into a strictly coarser one."""
+    return tuple(g for g in odd_partitions(range(k)) if len(g) < k)
+
+
+def _coarsenings(p: Partition):
+    """The strict odd coarsenings of p.  Merging an odd number of odd parts
+    keeps every block odd, and each coarsening arises from exactly one
+    grouping of p's parts; groups come ordered by their least index, and p's
+    parts by their least label, so the merged parts are in partition order."""
+    for grouping in _index_groupings(len(p)):
+        yield tuple(p[g[0]] if len(g) == 1
+                    else tuple(sorted(v for i in g for v in p[i]))
+                    for g in grouping)
+
+
 def _all_chains(interior, rankf) -> dict[int, list[tuple]]:
     """Strictly increasing interior chains (as index tuples), by length."""
-    order = sorted(range(len(interior)), key=lambda i: (rankf(interior[i]), i))
-    above: dict[int, list[int]] = {i: [] for i in range(len(interior))}
-    for pos, i in enumerate(order):
-        ri = rankf(interior[i])
-        for j in order[pos + 1:]:
-            if rankf(interior[j]) > ri and refines(interior[i], interior[j]):
-                above[i].append(j)
+    key = [(rankf(p), i) for i, p in enumerate(interior)]
+    where = {p: i for i, p in enumerate(interior)}
+    order = sorted(range(len(interior)), key=key.__getitem__)
+    above = [sorted((where[q] for q in _coarsenings(p) if q in where),
+                    key=key.__getitem__)
+             for p in interior]
     groups: dict[int, list[tuple]] = {0: [()]}
 
     def extend(chain: tuple):
@@ -195,8 +212,12 @@ def interval_homology_by_sizes(sizes: tuple) -> list[tuple[int, int, list[int]]]
     bottom = make_partition([(v,) for v in labels])
     if top == bottom:
         return [(0, 1, [])]
-    interior = [p for p in odd_partitions(labels)
-                if p != bottom and p != top and refines(p, top)]
+    # [bottom, top] is the product of the odd-partition posets of top's
+    # parts; the parts hold consecutive labels, so joining one partition of
+    # each lists the interval in odd_partitions(labels) order
+    interior = [p for p in (sum(factors, ())
+                            for factors in product(*map(odd_partitions, parts)))
+                if p != bottom and p != top]
     return homology_of_bounded(interior, lambda p: (n - len(p)) // 2)
 
 
@@ -245,6 +266,30 @@ class _TopMark:
 TOP = _TopMark()
 
 
+def _saturated_chains(poset: OddPartitionPoset) -> dict[int, list[tuple]]:
+    """Saturated chains (x_1, ..., x_r) from the bottom, grouped by length r,
+    with x_R the adjoined TOP when the poset has no top.  A cover merges
+    three parts, and an adjoined top covers everything of rank R - 1; covers
+    are taken in element order."""
+    R = poset.max_rank
+    covers: dict = {}
+
+    def covers_of(p: Partition) -> list:
+        if p not in covers:
+            merges = (q for q in _coarsenings(p) if len(q) == len(p) - 2)
+            covers[p] = sorted(merges, key=poset.index.__getitem__)
+        return covers[p]
+
+    chains: dict[int, list[tuple]] = {0: [()]}
+    for r in range(1, R + 1):
+        if r == R and poset.top is None:
+            chains[r] = [chain + (TOP,) for chain in chains[r - 1]]
+        else:
+            chains[r] = [chain + (x,) for chain in chains[r - 1]
+                         for x in covers_of(chain[-1] if chain else poset.bottom)]
+    return chains
+
+
 def whitney_homology(n: int) -> dict:
     """Whitney groups W_r (top-degree interval cycles at each rank-r element,
     the adjoined top included for even n) with the top-dropping connecting
@@ -257,25 +302,7 @@ def whitney_homology(n: int) -> dict:
         raise ValueError("n must be >= 2")
     poset = OddPartitionPoset(n)
     R = poset.max_rank
-    by_rank: dict[int, list] = {r: [] for r in range(R + 1)}
-    for p in poset.elements:
-        by_rank[poset.rank(p)].append(p)
-    if poset.top is None:
-        by_rank[R] = [TOP]
-
-    def above(a, b) -> bool:
-        return b is TOP or (a is not TOP and refines(a, b))
-
-    # saturated chains (x_1, ..., x_r) from the bottom, grouped by length
-    chains: dict[int, list[tuple]] = {0: [()]}
-    for r in range(1, R + 1):
-        out = []
-        for chain in chains[r - 1]:
-            last = chain[-1] if chain else poset.bottom
-            for x in by_rank[r]:
-                if above(last, x):
-                    out.append(chain + (x,))
-        chains[r] = out
+    chains = _saturated_chains(poset)
     chain_index = {r: {c: i for i, c in enumerate(cs)} for r, cs in chains.items()}
 
     def interval_boundary_rows(r: int) -> tuple[list[dict], int]:

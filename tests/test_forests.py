@@ -1,8 +1,10 @@
 import random
+from itertools import combinations
 from math import factorial
 
 import pytest
 
+from forestalg import clear_caches, forests
 from forestalg.forests import (NotBasicError, TernaryForest, TriangleGraph,
                                basic_trees, canonical_ternary_forest,
                                components, count_basic_forests,
@@ -74,7 +76,6 @@ def test_tree_count_recursion():
     def b(n):
         return len(basic_trees(tuple(range(1, n + 1))))
 
-    from itertools import combinations
     for n in (1, 3, 5):
         total = 0
         rest = tuple(range(3, n + 3))
@@ -108,7 +109,6 @@ def test_tree_statistics_examples():
 def test_keystone_minimality_lemma():
     # removing the keystone of a basic tree and completing to any other
     # basic tree strictly increases the composition (trees on <= 7 vertices)
-    from itertools import combinations
     for n in (3, 5, 7):
         labels = tuple(range(1, n + 1))
         trees = basic_trees(labels)
@@ -240,3 +240,61 @@ def test_keystone_order_realizes_canonical_partner():
         assert sorted(order) == list(F.sorted_edges)
         G = merge_ternary_forest(labels, order)
         assert G == canonical_ternary_forest(F)
+
+
+def _tripartitions_even_by_masks(items):
+    """Ordered even tripartitions of items, walking all 3^n bin masks."""
+    n = len(items)
+    if n % 2:
+        return
+    for mask in range(3 ** n):
+        bins = ([], [], [])
+        m = mask
+        for x in items:
+            bins[m % 3].append(x)
+            m //= 3
+        if all(len(b) % 2 == 0 for b in bins):
+            yield tuple(tuple(b) for b in bins)
+
+
+def _basic_trees_unmemoized(vertex_set):
+    """The recursion of basic_trees without any memo."""
+    vs = tuple(sorted(vertex_set))
+    n = len(vs)
+    if n % 2 == 0:
+        return []
+    if n == 1:
+        return [frozenset()]
+    a, b = vs[0], vs[1]
+    rest = vs[2:]
+    out = []
+    for k in rest:
+        others = tuple(v for v in rest if v != k)
+        for p1, p2, p3 in _tripartitions_even_by_masks(others):
+            for t1 in _basic_trees_unmemoized((a,) + p1):
+                for t2 in _basic_trees_unmemoized((b,) + p2):
+                    for t3 in _basic_trees_unmemoized((k,) + p3):
+                        out.append(t1 | t2 | t3 | {tuple(sorted((a, b, k)))})
+    return out
+
+
+def test_basic_trees_memo_keeps_order():
+    # every component enumerate_basic_forests meets on nine labels is an odd
+    # subset of them; the memoized lists agree entry for entry
+    clear_caches()
+    labels = tuple(range(1, 10))
+    for size in range(1, 10, 2):
+        for comp in combinations(labels, size):
+            assert basic_trees(comp) == _basic_trees_unmemoized(comp)
+    for n in range(0, 9):
+        items = tuple(range(10, 10 + n))
+        assert list(forests._tripartitions_even(items)) == list(
+            _tripartitions_even_by_masks(items))
+    fresh = basic_trees(labels)
+    fresh.clear()
+    assert len(basic_trees(labels)) == 11025
+    assert forests._basic_trees.cache_info().currsize
+    assert forests._even_tripartition_patterns.cache_info().currsize
+    clear_caches()
+    assert forests._basic_trees.cache_info().currsize == 0
+    assert forests._even_tripartition_patterns.cache_info().currsize == 0

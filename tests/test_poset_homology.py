@@ -3,9 +3,12 @@ from itertools import permutations
 
 import pytest
 
+from forestalg import clear_caches, poset_homology
 from forestalg.forests import (TriangleGraph, basic_trees, forest_mu_key,
                                tree_statistics)
-from forestalg.poset_homology import (OddPartitionPoset,
+from forestalg.poset_homology import (TOP, OddPartitionPoset, _all_chains,
+                                      _coarsenings, _saturated_chains,
+                                      homology_of_bounded,
                                       interval_homology_by_sizes,
                                       keystone_cochain, make_partition,
                                       odd_partitions, reduced_homology,
@@ -144,24 +147,127 @@ def test_odd_partitions_enumeration():
 def test_interval_concentration():
     # every interval below a rank-r element (label budget <= 8) has free
     # homology concentrated in degree r
-    def odd_multisets(total):
-        def rec(mx, left):
-            if left == 0:
-                yield ()
-                return
-            start = min(mx, left)
-            if start % 2 == 0:
-                start -= 1
-            for s in range(start, 0, -2):
-                for rest in rec(s, left - s):
-                    yield (s,) + rest
-        return rec(total, total)
-
     for total in range(1, 9):
-        for sizes in odd_multisets(total):
+        for sizes in _odd_multisets(total):
             hom = interval_homology_by_sizes(tuple(sorted(sizes)))
             r = sum((s - 1) // 2 for s in sizes)
             assert all(not tor for _, _, tor in hom)
             nonzero = [(d, h) for d, h, _ in hom if h]
             assert len(nonzero) == 1 and nonzero[0][0] == r
             assert nonzero[0][1] > 0
+
+
+def _odd_multisets(total):
+    """Multisets of odd sizes summing to total, largest first."""
+    def rec(mx, left):
+        if left == 0:
+            yield ()
+            return
+        start = min(mx, left)
+        if start % 2 == 0:
+            start -= 1
+        for s in range(start, 0, -2):
+            for rest in rec(s, left - s):
+                yield (s,) + rest
+    return rec(total, total)
+
+
+def _all_chains_by_scan(interior, rankf):
+    """The all-pairs construction of the order complex: above[i] lists every
+    j after i in (rank, index) order with higher rank and i refining j."""
+    order = sorted(range(len(interior)), key=lambda i: (rankf(interior[i]), i))
+    above = {i: [] for i in range(len(interior))}
+    for pos, i in enumerate(order):
+        ri = rankf(interior[i])
+        for j in order[pos + 1:]:
+            if rankf(interior[j]) > ri and refines(interior[i], interior[j]):
+                above[i].append(j)
+    groups = {0: [()]}
+
+    def extend(chain):
+        groups.setdefault(len(chain), []).append(chain)
+        for j in above[chain[-1]]:
+            extend(chain + (j,))
+
+    for i in order:
+        extend((i,))
+    return groups
+
+
+def _interval_by_filter(sizes):
+    """Interior and rank function of [bottom, top] for top with parts of the
+    given sizes, by filtering all odd partitions of its labels."""
+    parts, offset = [], 0
+    for s in sorted(sizes):
+        parts.append(tuple(range(offset + 1, offset + s + 1)))
+        offset += s
+    labels = tuple(range(1, offset + 1))
+    top = make_partition(parts)
+    bottom = make_partition([(v,) for v in labels])
+    interior = [p for p in odd_partitions(labels)
+                if p != bottom and p != top and refines(p, top)]
+    return interior, lambda p: (offset - len(p)) // 2
+
+
+def test_coarsenings_match_refinement():
+    for n in range(1, 8):
+        elements = odd_partitions(range(1, n + 1))
+        for p in elements:
+            got = list(_coarsenings(p))
+            assert len(got) == len(set(got))
+            assert set(got) == {q for q in elements if q != p and refines(p, q)}
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_chains_match_pair_scan(n):
+    poset = OddPartitionPoset(n)
+    interior = [p for p in poset.elements
+                if p != poset.bottom and p != poset.top]
+    assert _all_chains(interior, poset.rank) == _all_chains_by_scan(
+        interior, poset.rank)
+
+
+def test_interval_chains_match_pair_scan():
+    # the product construction lists the interval interior in filter order,
+    # so every chain group, and so every boundary matrix, is unchanged
+    for total in range(1, 9):
+        for sizes in _odd_multisets(total):
+            interior, rankf = _interval_by_filter(sizes)
+            groups = _all_chains_by_scan(interior, rankf)
+            assert _all_chains(interior, rankf) == groups
+            if any(s > 1 for s in sizes):
+                assert interval_homology_by_sizes(tuple(sorted(sizes))) == \
+                    homology_of_bounded(interior, rankf)
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_saturated_chains_match_refinement(n):
+    poset = OddPartitionPoset(n)
+    R = poset.max_rank
+    by_rank = {r: [] for r in range(R + 1)}
+    for p in poset.elements:
+        by_rank[poset.rank(p)].append(p)
+    if poset.top is None:
+        by_rank[R] = [TOP]
+    chains = {0: [()]}
+    for r in range(1, R + 1):
+        chains[r] = [chain + (x,) for chain in chains[r - 1]
+                     for x in by_rank[r]
+                     if x is TOP or refines(chain[-1] if chain
+                                            else poset.bottom, x)]
+    assert _saturated_chains(poset) == chains
+
+
+def test_hot_paths_do_not_scan_pairs(monkeypatch):
+    def refuse(p, q):
+        raise AssertionError("refines called on a hot path")
+
+    clear_caches()
+    monkeypatch.setattr(poset_homology, "refines", refuse)
+    try:
+        assert reduced_homology(OddPartitionPoset(7)) == [(3, 225, [])]
+        assert whitney_homology(6)["exact"]
+        assert [(d, h) for d, h, _ in interval_homology_by_sizes((3, 5))
+                if h] == [(3, 9)]
+    finally:
+        clear_caches()
