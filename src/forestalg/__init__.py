@@ -1,7 +1,8 @@
 """forestalg: exact computational algebra for forest-indexed cohomology rings.
 
-Everything is exact (integers, rationals, F_2, Z/4); nothing is floating
-point.  The package constructs and cross-validates:
+Everything is exact (integers and rationals, and F_2 bitsets for the
+Bockstein); nothing is floating point.  The package constructs and
+cross-validates:
 
 - skew-commutative rings on three- and four-index odd generators, with
   certified basic-forest monomial bases and partition-blocked Hilbert

@@ -41,6 +41,13 @@ from .series import (assemble_partitions, keel_betti_polynomial,
 Monomial = tuple  # sorted tuple of (support_id, exponent), exponent > 0
 
 
+def _grevlex_key(m: Monomial) -> tuple:
+    """Sort key of the grevlex order: degree first, then the rightmost
+    (largest support id) differing entry, where a later variable or a larger
+    exponent there makes the monomial smaller."""
+    return (sum(e for _, e in m), tuple((-sid, -e) for sid, e in reversed(m)))
+
+
 class KeelRing:
     """Presentation data for one n: interned supports and rewrite machinery."""
 
@@ -80,29 +87,6 @@ class KeelRing:
         return " ".join(
             f"P{sorted(self.supports[sid])}^{e}" if e > 1 else f"P{sorted(self.supports[sid])}"
             for sid, e in m) or "1"
-
-    # -- grevlex -----------------------------------------------------------
-
-    def grevlex_less(self, a: Monomial, b: Monomial) -> bool:
-        da, db = self.degree(a), self.degree(b)
-        if da != db:
-            return da < db
-        # rightmost (largest sid) differing exponent: larger exponent loses
-        ia, ib = len(a) - 1, len(b) - 1
-        while ia >= 0 or ib >= 0:
-            sa = a[ia][0] if ia >= 0 else -1
-            sb = b[ib][0] if ib >= 0 else -1
-            if sa == sb:
-                ea, eb = a[ia][1], b[ib][1]
-                if ea != eb:
-                    return ea > eb
-                ia -= 1
-                ib -= 1
-            elif sa > sb:
-                return True  # a has an entry in a later variable: a smaller
-            else:
-                return False
-        return False
 
     # -- canonical-form tests ----------------------------------------------
 
@@ -193,8 +177,9 @@ class KeelRing:
                         mm = self._mono_mul(mm, inner[ai])
                     out[mm] = out.get(mm, 0) + sign
             result = {k2: v for k2, v in out.items() if v}
+        key = _grevlex_key(m)
         for mm in result:
-            if not self.grevlex_less(mm, m):
+            if not _grevlex_key(mm) < key:
                 raise AssertionError("rewrite failed to decrease grevlex order")
         return result
 
@@ -210,7 +195,7 @@ class KeelRing:
             steps += 1
             if steps > self.rewrite_step_limit:
                 raise RuntimeError("rewriting exceeded the step limit")
-            mm = max(work, key=lambda x: _GrevKey(self, x))
+            mm = max(work, key=_grevlex_key)
             coeff = work.pop(mm)
             cached = self._reduce_cache.get(mm)
             if cached is not None:
@@ -327,19 +312,6 @@ class KeelRing:
         top = self.sup_index.get(frozenset(self.labels))
         return [m for m in self.canonical_monomials(degree)
                 if m and m[-1][0] == top]
-
-
-class _GrevKey:
-    """Comparison adapter so ``max`` picks the grevlex-largest monomial."""
-
-    __slots__ = ("ring", "m")
-
-    def __init__(self, ring: KeelRing, m: Monomial):
-        self.ring = ring
-        self.m = m
-
-    def __lt__(self, other: "_GrevKey") -> bool:
-        return self.ring.grevlex_less(self.m, other.m)
 
 
 # ---------------------------------------------------------------------------

@@ -13,8 +13,8 @@ triangle trees on its labels, and only the rows that meet them
 ``_assert_cyclic_block_dies``.  The quad presentation has linear relations;
 those are eliminated first (the lattice they span is verified unimodular),
 after which its quadratic relations are compared against the tri
-presentation's span: equality over Q, proved by containment over Q and equal
-rank via the modular lower bound rank_p <= rank_Q.
+presentation's span: equality over Q, proved by containment in the tri span
+and equal rank, both by exact elimination over Q.
 """
 
 from __future__ import annotations
@@ -420,10 +420,10 @@ def _quad_linear_data(n: int):
 @lru_cache(maxsize=None)
 def quad_tri_span_match(n: int) -> bool:
     """The substituted quad quadratic relations and the tri relations span
-    the same degree-2 subspace over Q (containment over Q, equal rank via
-    the modular lower bound rank_p <= rank_Q: ``linalg.same_rational_span``);
-    with the unimodularity certificate this transports every degree >= 2
-    dimension between the presentations."""
+    the same degree-2 subspace over Q (containment and equal rank, by exact
+    elimination: ``linalg.same_rational_span``); with the unimodularity
+    certificate this transports every degree >= 2 dimension between the
+    presentations."""
     if n < 5:
         return True  # no quadratic relations on either side below five labels
     _, divisors = _quad_linear_data(n)

@@ -1,13 +1,13 @@
-"""Exact sparse linear algebra over Q, F_p, F_2 and Z.
+"""Exact sparse linear algebra over Q, Z and F_2.
 
 Rows are sparse dicts {column_index: value} with integer column indices;
 callers intern their column labels (``FieldEchelon`` also takes any totally
 ordered keys, such as the monomial tuples of one degree).  There are four
 kernels:
 
-- ``FieldEchelon``, over Q or F_p, behind every ideal slice over Q and F_2,
-  every field rank, the span certificate ``same_rational_span`` and, in
-  ``BasisSolver``, every coordinate solve in a certified basis;
+- ``FieldEchelon``, over Q, behind every ideal slice over Q, every field
+  rank, the span certificate ``same_rational_span`` and, in ``BasisSolver``,
+  every coordinate solve in a certified basis;
 - ``HermiteEchelon``, behind ideal slices over Z and every membership test
   in an integer lattice;
 - ``_eliminate``, the unit-first unimodular elimination behind the Smith
@@ -32,7 +32,7 @@ from math import gcd
 
 
 # ---------------------------------------------------------------------------
-# field echelon (Q or F_p)
+# field echelon over Q
 
 
 def _rational(v):
@@ -44,43 +44,29 @@ def _rational(v):
 
 
 class FieldEchelon:
-    """Incremental row echelon over Q (p=None) or F_p, leading column minimal.
+    """Incremental row echelon over Q, leading column minimal.
 
     Pivot rows are normalized to leading coefficient 1.  ``reduce`` returns
     the unique normal form modulo the row space (single increasing-column
     pass; pivot tails only touch larger columns).
 
-    Over Q an entry is an ``int`` as long as it is integral and every pivot
-    it met had lead +-1 (a -1 lead is normalized by negating the row).  Only
+    An entry is an ``int`` as long as it is integral and every pivot it met
+    had lead +-1 (a -1 lead is normalized by negating the row).  Only
     normalizing a pivot row by a lead other than +-1 makes ``Fraction``
     entries (integral quotients stay ``int``); they spread to the rows reduced
     against that pivot.  Ranks, pivot columns and residues are the same
     rational values as an all-``Fraction`` elimination.
     """
 
-    def __init__(self, p: int | None = None):
-        self.p = p
+    def __init__(self):
         self.pivots: dict[int, dict] = {}
 
     @property
     def rank(self) -> int:
         return len(self.pivots)
 
-    def _normalize(self, row: dict) -> dict:
-        """A fresh copy of row with exact entries and no zeros."""
-        if self.p is None:
-            return {c: _rational(v) for c, v in row.items() if v}
-        p = self.p
-        out = {}
-        for c, v in row.items():
-            v %= p
-            if v:
-                out[c] = v
-        return out
-
     def reduce(self, row: dict) -> dict:
-        row = self._normalize(row)
-        p = self.p
+        row = {c: _rational(v) for c, v in row.items() if v}
         pivots = self.pivots
         heap = [c for c in row if c in pivots]
         heapq.heapify(heap)
@@ -96,8 +82,6 @@ class FieldEchelon:
             for c2, w in pivots[c].items():
                 fresh = c2 not in row
                 nv = row.get(c2, 0) - v * w
-                if p is not None:
-                    nv %= p
                 if nv:
                     row[c2] = nv
                     if fresh and c2 in pivots:
@@ -113,71 +97,59 @@ class FieldEchelon:
             return False
         lead = min(row)
         lv = row[lead]
-        if self.p is not None:
-            inv = pow(lv, self.p - 2, self.p)
-            row = {c: (v * inv) % self.p for c, v in row.items()}
-        elif lv == -1:
+        if lv == -1:
             row = {c: -v for c, v in row.items()}
         elif lv != 1:
             row = {c: _rational(Fraction(v) / lv) for c, v in row.items()}
         self.pivots[lead] = row
         return True
 
-    def extend(self, rows) -> int:
-        added = 0
+    def extend(self, rows) -> None:
         for r in rows:
-            if self.add(r):
-                added += 1
-        return added
+            self.add(r)
 
     def contains(self, row: dict) -> bool:
         return not self.reduce(row)
 
     def same_span(self, other: "FieldEchelon") -> bool:
-        if self.rank != other.rank:
-            return False
-        return (all(other.contains(r) for r in self.pivots.values())
+        """Equal rank and every pivot row of ``other`` in this row space;
+        over a field, inclusion and equal dimension give equality.  Only
+        ``other``'s pivots are reduced, so the echelon with Fraction pivots
+        goes second."""
+        return (self.rank == other.rank
                 and all(self.contains(r) for r in other.pivots.values()))
 
 
 def field_rank(rows) -> int:
     """Rank over Q."""
-    ech = FieldEchelon(None)
+    ech = FieldEchelon()
     ech.extend(rows)
     return ech.rank
 
 
-MODULAR_PRIME = 2 ** 31 - 1
-
-
 def same_rational_span(left: list[dict], right: list[dict]) -> bool:
-    """Whether the integer rows ``left`` and ``right`` span the same space
-    over Q, proved by containment over Q and equal rank via the modular
-    lower bound rank_p <= rank_Q (p = ``MODULAR_PRIME``):
+    """Whether the rows ``left`` and ``right`` span the same space over Q.
 
-    - every left row reduces to zero against the Q echelon of the right
-      rows (in ``int`` when, as for relation rows, its leads are +-1);
-    - some left rows reach rank_Q(right) modulo p, span what the right rows
-      span modulo p, and rank_p(right) = rank_Q(right).
+    - r = rank(right), from the Q echelon of the right rows;
+    - left rows enter a second Q echelon until its rank reaches r;
+    - every later left row reduces to zero against the right echelon;
+    - the pivots of the second echelon lie in the right span, and its rank
+      is r (``same_span``).
 
-    If the modular bound falls short, an exact Q elimination of the left
-    rows decides; no answer rests on the modular step alone.
+    Then span(left) lies in span(right) and has dimension r, so the spans
+    are equal.  Only the first left rows are eliminated among themselves;
+    the rest are reduced against the right echelon, which stays in ``int``
+    when, as for relation rows, its leads are +-1.
     """
-    right_q = FieldEchelon(None)
+    right_q = FieldEchelon()
     right_q.extend(right)
-    if not all(right_q.contains(row) for row in left):
-        return False
-    left_p, right_p = FieldEchelon(MODULAR_PRIME), FieldEchelon(MODULAR_PRIME)
-    right_p.extend(right)
+    left_q = FieldEchelon()
     for row in left:
-        if left_p.rank == right_q.rank:
-            break  # the rows left out cannot lower the modular rank
-        left_p.add(row)
-    if right_p.rank == right_q.rank and left_p.same_span(right_p):
-        return True
-    left_q = FieldEchelon(None)
-    left_q.extend(left)
-    return left_q.same_span(right_q)
+        if left_q.rank < right_q.rank:
+            left_q.add(row)
+        elif not right_q.contains(row):
+            return False
+    return right_q.same_span(left_q)
 
 
 # ---------------------------------------------------------------------------
@@ -204,14 +176,9 @@ class BitEchelon:
             row ^= piv
         return False
 
-    def extend(self, rows) -> int:
-        return sum(1 for r in rows if self.add(r))
-
-
-def bit_rank(rows) -> int:
-    ech = BitEchelon()
-    ech.extend(rows)
-    return ech.rank
+    def extend(self, rows) -> None:
+        for r in rows:
+            self.add(r)
 
 
 # ---------------------------------------------------------------------------
@@ -513,7 +480,7 @@ class BasisSolver:
     def __init__(self, basis: list[dict]):
         self.nbasis = len(basis)
         self.offset = 1 + max((c for b in basis for c in b), default=-1)
-        self.echelon = FieldEchelon(None)
+        self.echelon = FieldEchelon()
         for k, b in enumerate(basis):
             self.echelon.add({**b, self.offset + k: 1})
         if any(lead >= self.offset for lead in self.echelon.pivots):

@@ -26,7 +26,7 @@ from functools import lru_cache
 from itertools import combinations, combinations_with_replacement, permutations
 
 from .lambda_alg import Presentation
-from .linalg import FieldEchelon, kernel_basis_fast
+from .linalg import FieldEchelon, kernel_basis_fast, same_rational_span
 from .series import assemble_partitions, odd_square_product_poly
 
 
@@ -103,12 +103,10 @@ def explicit_dual_rows(labels) -> list[dict[int, int]]:
 
 
 def dual_span_matches_explicit(n: int) -> bool:
-    """R-annihilator == span of the explicit families (both ways, over Q)."""
-    left = FieldEchelon(None)
-    left.extend(annihilator_rows(n))
-    right = FieldEchelon(None)
-    right.extend(explicit_dual_rows(tuple(range(1, n))))
-    return left.same_span(right)
+    """R-annihilator == span of the explicit families, over Q
+    (``linalg.same_rational_span``)."""
+    return same_rational_span(annihilator_rows(n),
+                              explicit_dual_rows(tuple(range(1, n))))
 
 
 # ---------------------------------------------------------------------------
@@ -205,7 +203,7 @@ def dual_block_dimension(m: int, d: int) -> int:
     if m < 3 or d < 1 or 2 * d + 1 < m:
         return 0
     words, rows = _dual_block(m, d)
-    ech = FieldEchelon(None)
+    ech = FieldEchelon()
     for row in rows:
         ech.add(row)
     return len(words) - ech.rank

@@ -1,7 +1,7 @@
-"""Exact coefficient rings: integers, rationals, GF(2) and Z/4.
+"""Exact coefficient rings: the integers and the rationals.
 
-Coefficients are plain Python ints (canonical residues for the finite rings)
-or Fractions; a ring object only normalizes, tests invertibility and divides.
+Coefficients are plain Python ints or Fractions; a ring object only
+normalizes, adds and multiplies.
 """
 
 from __future__ import annotations
@@ -14,18 +14,17 @@ class RingMismatchError(ValueError):
 
 
 class CoefficientRing:
-    """One of Z, Q, GF(2), Z/4, identified by tag."""
+    """Z or Q, identified by tag."""
 
     __slots__ = ("tag",)
 
     _INSTANCES: dict[str, "CoefficientRing"] = {}
 
     def __new__(cls, tag: str) -> "CoefficientRing":
-        if tag not in ("Z", "Q", "GF2", "Z4"):
+        if tag not in ("Z", "Q"):
             raise ValueError(f"unknown coefficient ring tag {tag!r}")
         inst = cls._INSTANCES.get(tag)
         if inst is None:
-            inst = super().__new__(cls)
             inst = object.__new__(cls)
             object.__setattr__(inst, "tag", tag)
             cls._INSTANCES[tag] = inst
@@ -37,21 +36,13 @@ class CoefficientRing:
     def __setattr__(self, *a):  # immutable
         raise AttributeError("CoefficientRing is immutable")
 
-    @property
-    def is_field(self) -> bool:
-        return self.tag in ("Q", "GF2")
-
     def normalize(self, c):
         """Canonical representative; may return 0."""
         if self.tag == "Z":
             return int(c)
-        if self.tag == "Q":
-            if isinstance(c, Fraction):
-                return c
-            return Fraction(c)
-        if self.tag == "GF2":
-            return int(c) & 1
-        return int(c) % 4
+        if isinstance(c, Fraction):
+            return c
+        return Fraction(c)
 
     def add(self, a, b):
         return self.normalize(a + b)
@@ -59,40 +50,6 @@ class CoefficientRing:
     def mul(self, a, b):
         return self.normalize(a * b)
 
-    def neg(self, a):
-        return self.normalize(-a)
-
-    def invert(self, a):
-        a = self.normalize(a)
-        if self.tag == "Q":
-            if a == 0:
-                raise ZeroDivisionError("inverting 0 in Q")
-            return Fraction(1) / a
-        if self.tag == "GF2":
-            if a == 0:
-                raise ZeroDivisionError("inverting 0 in GF(2)")
-            return 1
-        if self.tag == "Z4":
-            if a in (1, 3):
-                return a  # 1*1 = 3*3 = 1 mod 4
-            raise ZeroDivisionError(f"{a} is not invertible in Z/4")
-        if a in (1, -1):
-            return a
-        raise ZeroDivisionError(f"{a} is not invertible in Z")
-
-    def divide_exact(self, a, b):
-        """a/b when the division is exact in the ring; error otherwise."""
-        if self.tag == "Q":
-            return self.normalize(Fraction(a) / Fraction(b))
-        if self.tag in ("GF2", "Z4"):
-            return self.mul(a, self.invert(b))
-        q, r = divmod(int(a), int(b))
-        if r:
-            raise ArithmeticError(f"{a} not divisible by {b} in Z")
-        return q
-
 
 ZZ = CoefficientRing("Z")
 QQ = CoefficientRing("Q")
-GF2 = CoefficientRing("GF2")
-ZMOD4 = CoefficientRing("Z4")

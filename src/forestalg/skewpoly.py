@@ -4,7 +4,7 @@ Generators are indexed by sorted label tuples (triples or quadruples) and are
 odd: they anticommute and square to zero, so monomials are strictly increasing
 tuples of generator ids and products carry the sign of the sorting
 permutation.  Ideal slices realize a homogeneous ideal degree by degree as a
-row space over the chosen coefficient ring.
+row space over Z or Q.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from .linalg import FieldEchelon, HermiteEchelon, smith_divisors
-from .rings import GF2, QQ, ZZ, CoefficientRing, RingMismatchError
+from .rings import QQ, ZZ, CoefficientRing, RingMismatchError
 
 
 def perm_sign(seq) -> int:
@@ -299,8 +299,8 @@ def partial_derivation(p: SkewPoly, gid: int) -> SkewPoly:
 class IdealSlice:
     """Echelonized degree-d component of the ideal spanned by homogeneous
     relations: span{m * r} over monomial multipliers m of complementary
-    degree.  Over Q and F_2 the echelon is a field echelon; over Z a Hermite
-    form (with elementary divisors available for the torsion certificate)."""
+    degree.  Over Q the echelon is a field echelon; over Z a Hermite form
+    (with elementary divisors available for the torsion certificate)."""
 
     def __init__(self, ring: CoefficientRing, degree: int,
                  columns: list[tuple], echelon, raw_rows=None):
@@ -346,7 +346,8 @@ def _admits(ring: CoefficientRing, rel_ring: CoefficientRing) -> bool:
 def ideal_slice(relations: list[SkewPoly], degree: int,
                 universe: GeneratorUniverse, ring: CoefficientRing,
                 columns=None, products=None) -> IdealSlice:
-    """Build and echelonize the degree-d slice of the two-sided ideal.
+    """Build and echelonize the degree-d slice of the two-sided ideal, over
+    Z (Hermite form) or Q (field echelon).
 
     Relations are over ``ring``, or over Z for a slice over Q; rows are built
     from their coefficients with plain arithmetic, so integer relations give
@@ -371,11 +372,7 @@ def ideal_slice(relations: list[SkewPoly], degree: int,
         products = ((i, mult) for i, r in enumerate(relations)
                     if r and r.degree() <= degree
                     for mult in universe.monomials(degree - r.degree()))
-    sl_echelon = {QQ: lambda: FieldEchelon(None), GF2: lambda: FieldEchelon(2),
-                  ZZ: HermiteEchelon}.get(ring)
-    if sl_echelon is None:
-        raise ValueError(f"no slice echelon over {ring.tag}")
-    echelon = sl_echelon()
+    echelon = HermiteEchelon() if ring is ZZ else FieldEchelon()
     slice_obj = IdealSlice(ring, degree, columns, echelon,
                            raw_rows=[] if ring is ZZ else None)
     col_of = slice_obj.col_of

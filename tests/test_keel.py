@@ -2,10 +2,10 @@ import random
 
 import pytest
 
-from forestalg.keel import (KeelRing, assembled_hbeta_dims, beta, beta_twisted,
-                            betti_upper_bound, bockstein_cohomology,
-                            canonical_count_report, d_from_pi,
-                            hbeta_connected_block, pi_from_d)
+from forestalg.keel import (KeelRing, _grevlex_key, assembled_hbeta_dims, beta,
+                            beta_twisted, betti_upper_bound,
+                            bockstein_cohomology, canonical_count_report,
+                            d_from_pi, hbeta_connected_block, pi_from_d)
 from forestalg.linalg import BitEchelon
 from forestalg.series import keel_betti_polynomial
 
@@ -174,6 +174,43 @@ def test_reduce_linear_and_idempotent():
             for m2_, c2 in r.reduce({m: 1}).items():
                 again[m2_] = again.get(m2_, 0) + c * c2
         assert {k: v for k, v in again.items() if v} == nf
+
+
+def _grevlex_less(a, b) -> bool:
+    """Oracle: the pairwise grevlex comparison, walking both monomials from
+    their largest support id."""
+    da, db = sum(e for _, e in a), sum(e for _, e in b)
+    if da != db:
+        return da < db
+    # rightmost (largest sid) differing exponent: larger exponent loses
+    ia, ib = len(a) - 1, len(b) - 1
+    while ia >= 0 or ib >= 0:
+        sa = a[ia][0] if ia >= 0 else -1
+        sb = b[ib][0] if ib >= 0 else -1
+        if sa == sb:
+            ea, eb = a[ia][1], b[ib][1]
+            if ea != eb:
+                return ea > eb
+            ia -= 1
+            ib -= 1
+        elif sa > sb:
+            return True  # a has an entry in a later variable: a smaller
+        else:
+            return False
+    return False
+
+
+def test_grevlex_key_matches_pairwise_order():
+    rng = random.Random(29)
+    r = KeelRing(6)
+    monos = list(r.canonical_monomials())
+    for _ in range(150):
+        sids = rng.sample(range(len(r.supports)), rng.randint(1, 4))
+        monos.append(tuple(sorted((sid, rng.randint(1, 3)) for sid in sids)))
+    keys = [_grevlex_key(m) for m in monos]
+    for a, ka in zip(monos, keys):
+        for b, kb in zip(monos, keys):
+            assert (ka < kb) == _grevlex_less(a, b)
 
 
 def test_beta_examples():

@@ -261,7 +261,7 @@ def _rational_span_match(n):
     then compared by FieldEchelon.same_span."""
     quad = Presentation("quad", range(1, n + 1))
     tri = Presentation("tri", range(1, n))
-    left, right = FieldEchelon(None), FieldEchelon(None)
+    left, right = FieldEchelon(), FieldEchelon()
     for r in quad.quadratic_relations():
         left.add(dict(quad_to_tri(r, quad, tri).terms))
     for r in tri.relations():

@@ -7,11 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from forestalg.linalg import (MODULAR_PRIME, BasisSolver, BitEchelon,
-                              FieldEchelon, HermiteEchelon, _row_comb,
-                              _row_sub, _xgcd, bit_rank, field_rank,
-                              kernel_basis_fast, same_rational_span,
-                              smith_divisors)
+from forestalg.linalg import (BasisSolver, BitEchelon, FieldEchelon,
+                              HermiteEchelon, _row_comb, _row_sub, _xgcd,
+                              field_rank, kernel_basis_fast,
+                              same_rational_span, smith_divisors)
+
+P = 2 ** 31 - 1  # a large prime: rows scaled by it are zero modulo P
 
 
 def _dense(rows, ncols):
@@ -21,30 +22,28 @@ def _dense(rows, ncols):
 def test_field_echelon_rank_and_reduce():
     rows = [{0: 1, 1: 2}, {1: 1, 2: 1}, {0: 1, 1: 3, 2: 1}]
     assert field_rank(rows) == 2
-    ech = FieldEchelon(None)
+    ech = FieldEchelon()
     ech.extend(rows)
     assert ech.contains({0: 2, 1: 4})
     assert not ech.contains({2: 1})
 
 
 def test_field_echelon_same_span():
-    a = FieldEchelon(None)
+    a = FieldEchelon()
     a.extend([{0: 1, 1: 1}, {1: 1, 2: 1}])
-    b = FieldEchelon(None)
+    b = FieldEchelon()
     b.extend([{0: 1, 2: -1}, {0: 1, 1: 2, 2: 1}])
     assert a.same_span(b)
 
 
 def test_same_rational_span_certificate():
-    P = MODULAR_PRIME
     right = [{0: 1}, {1: 1}]
     assert same_rational_span([{0: 1, 1: 1}, {0: 1, 1: -1}], right)
     # a row outside the right span
     assert not same_rational_span([{0: 1}, {2: 1}], right)
     # contained, but of lower rank over Q
     assert not same_rational_span([{0: 1, 1: 1}], right)
-    # ranks that drop modulo P: the modular bound falls short, and only the
-    # exact comparison can decide either way
+    # ranks that drop modulo P: only an exact comparison decides these
     assert same_rational_span([{0: P}], [{0: 1}])
     assert same_rational_span([{0: 1, 1: 1}, {0: 1, 1: 1 + P}], right)
     assert not same_rational_span([{0: P}], right)
@@ -58,21 +57,17 @@ def test_same_rational_span_on_relation_rows():
     right = [r.terms for r in tri.relations()]
     assert same_rational_span(right[::-1], right)
     # every row scaled by P: zero modulo P, the same span over Q
-    assert same_rational_span([{c: MODULAR_PRIME * v for c, v in r.items()}
+    assert same_rational_span([{c: P * v for c, v in r.items()}
                                for r in right], right)
     # a degree-2 monomial outside the relation span
     forest = tri.monomial([(1, 2, 3), (3, 4, 5)]).terms
     assert not same_rational_span(right + [forest], right)
 
 
-def test_modular_rank_matches_rational():
-    rng = random.Random(1)
-    for _ in range(10):
-        rows = [{c: rng.randint(-3, 3) for c in rng.sample(range(8), 4)}
-                for _ in range(6)]
-        modular = FieldEchelon(2 ** 31 - 1)
-        modular.extend(rows)
-        assert field_rank(rows) == modular.rank
+def bit_rank(rows) -> int:
+    ech = BitEchelon()
+    ech.extend(rows)
+    return ech.rank
 
 
 def test_bit_echelon():
@@ -276,7 +271,7 @@ def _q_rows(draw):
                                         max_size=5), max_size=4))
 def test_field_echelon_matches_fraction_elimination(rows, queries):
     copies = [dict(r) for r in rows]
-    ech, ref = FieldEchelon(None), _FractionEchelon()
+    ech, ref = FieldEchelon(), _FractionEchelon()
     for r in rows:
         assert ech.add(r) == ref.add(r)
     assert rows == copies  # callers' rows are never modified
@@ -293,10 +288,10 @@ def test_field_echelon_matches_fraction_elimination(rows, queries):
         for q in queries:
             if all(type(x) is int for x in q.values()):
                 assert all(type(v) is int for v in ech.reduce(q).values())
-    same = FieldEchelon(None)
+    same = FieldEchelon()
     same.extend(rows[::-1] + [{c: 2 * v for c, v in rows[0].items()}])
     assert ech.same_span(same) and same.same_span(ech)
-    fewer = FieldEchelon(None)
+    fewer = FieldEchelon()
     fewer.extend(rows[:-1])
     shorter = _FractionEchelon()
     for r in rows[:-1]:
@@ -310,6 +305,44 @@ def _combination(coeffs, rows) -> dict:
         for c, v in row.items():
             out[c] = out.get(c, 0) + a * v
     return {c: v for c, v in out.items() if v}
+
+
+def _ref_rank(rows) -> int:
+    ref = _FractionEchelon()
+    for r in rows:
+        ref.add(r)
+    return len(ref.pivots)
+
+
+_span_entries = st.integers(-2, 2) | st.sampled_from([P, -P])
+_span_rows = st.lists(st.dictionaries(st.integers(0, 4), _span_entries,
+                                      max_size=4), max_size=5)
+
+
+@settings(max_examples=150, deadline=None)
+@given(left=_span_rows, data=st.data())
+def test_span_certificates_match_rank_oracle(left, data):
+    # the right rows are integer combinations of the left rows plus a few
+    # drawn rows, so equal, nested and unrelated spans all occur
+    combos = data.draw(st.lists(st.lists(_span_entries, min_size=len(left),
+                                         max_size=len(left)), max_size=5))
+    right = [_combination(c, left) for c in combos]
+    right += data.draw(st.lists(st.dictionaries(st.integers(0, 4), _span_entries,
+                                                max_size=4), max_size=2))
+    want = _ref_rank(left) == _ref_rank(right) == _ref_rank(left + right)
+    assert same_rational_span(left, right) == want
+    left_q, right_q = FieldEchelon(), FieldEchelon()
+    left_q.extend(left)
+    right_q.extend(right)
+    assert left_q.same_span(right_q) == right_q.same_span(left_q) == want
+
+
+def test_span_certificates_reject_equal_rank_different_spans():
+    assert not same_rational_span([{0: 1}], [{1: 1}])
+    left, right = FieldEchelon(), FieldEchelon()
+    left.add({0: 1})
+    right.add({1: 1})
+    assert not left.same_span(right) and not right.same_span(left)
 
 
 @settings(max_examples=150, deadline=None)

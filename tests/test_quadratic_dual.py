@@ -23,7 +23,7 @@ def test_span_matches_explicit():
 def duality_dimension_identity(n: int) -> bool:
     """dim R + dim R-perp accounts for the whole tensor square."""
     D = comb(n - 1, 3)
-    r_rank = FieldEchelon(None)
+    r_rank = FieldEchelon()
     r_rank.extend(primal_relation_rows(n))
     perp = annihilator_rows(n)
     return r_rank.rank + len(perp) == D * D
