@@ -9,10 +9,11 @@ import time
 from itertools import combinations
 
 from . import forests, keel, lambda_alg, operad, poset_homology, quadratic_dual
+from .linalg import BitEchelon, smith_divisors
 from .rings import QQ, ZZ
 from .series import (keel_betti_polynomial, odd_square_product_poly,
                      verify_functional_equation_B)
-from .skewpoly import SkewPoly, ideal_slice
+from .skewpoly import SkewPoly, slice_rows
 
 
 def _timed(fn):
@@ -64,11 +65,44 @@ def criterion_2_euler(n_max_even: int = 10, n_max_odd: int = 9) -> dict:
     return _timed(run)
 
 
+def _doubles_and_members(lattice: list[dict],
+                         targets: list[dict]) -> tuple[bool, bool | None]:
+    """(whether 2t lies in the row lattice L of ``lattice`` for every
+    target t, whether some target itself lies in L), the second None when
+    the certificate below does not decide it.
+
+    - 2t: L' = L + <2t> contains L.  Equal rank and Smith divisors of L and
+      L' mean L' = L: with equal rank both have the same saturation S, and
+      [S : L] = [S : L'] [L' : L], where [S : L] is the product of the
+      divisors of L.  Conversely L' = L has the same divisors.
+    - t: when every 2t lies in L and the divisors of L are 1 or 2, S/L is
+      killed by 2, so 2S lies in L, and each t lies in S (2t in S, which is
+      saturated).  Then t lies in L exactly when t mod 2 lies in the F_2
+      span of L mod 2: from t = l + 2w with l in L, 2w = t - l lies in S,
+      so w does, and 2w lies in 2S, inside L.
+    """
+    rank_divisors = smith_divisors(lattice)
+    doubled = rank_divisors == smith_divisors(
+        lattice + [{c: 2 * v for c, v in t.items()} for t in targets])
+    if not doubled or any(d > 2 for d in rank_divisors[1]):
+        return doubled, None
+
+    def bits(row: dict) -> int:
+        return sum(1 << c for c, v in row.items() if v & 1)
+
+    mod2 = BitEchelon()
+    mod2.extend(bits(row) for row in lattice)
+    return True, any(mod2.contains(bits(t)) for t in targets)
+
+
 def criterion_3_freeness(n_max: int = 8) -> dict:
     """No nontrivial elementary divisors in the integral slices (blocked,
     plus the linear-relation lattice of the quad presentation), and 2 times
     the six-index family lies in the ideal of the other two over Z for
-    n = 6, 7 (the family itself does not)."""
+    n = 6, 7 while the family itself does not: both proved from the Smith
+    divisors of the degree-2 slice and its mod-2 span
+    (``_doubles_and_members``).  A membership the divisors leave undecided
+    reads null and fails the criterion."""
     def run():
         ok = True
         divisor_rows = {}
@@ -94,12 +128,14 @@ def criterion_3_freeness(n_max: int = 8) -> dict:
             linear = quad.linear_relations()
             shared3 = [r for r in quad.quadratic_relations() if len(r.terms) == 1]
             six_index = [r for r in quad.quadratic_relations() if len(r.terms) > 1]
-            sl = ideal_slice([r.convert(ZZ) for r in linear + shared3], 2,
-                             quad.universe, ZZ)
-            doubled = all(sl.contains(r.convert(ZZ).scale(2)) for r in six_index)
-            plain = any(sl.contains(r.convert(ZZ)) for r in six_index)
+            columns, rows = slice_rows([r.convert(ZZ) for r in linear + shared3],
+                                       2, quad.universe, ZZ)
+            col_of = {m: i for i, m in enumerate(columns)}
+            doubled, plain = _doubles_and_members(
+                list(rows), [{col_of[m]: c for m, c in r.convert(ZZ).terms.items()}
+                             for r in six_index])
             membership[n] = {"2x_in_ideal": doubled, "1x_in_ideal": plain}
-            ok = ok and doubled and not plain
+            ok = ok and doubled and plain is False
         return {"criterion": 3, "pass": ok, "divisors": divisor_rows,
                 "six_index_membership": membership}
     return _timed(run)

@@ -224,7 +224,7 @@ def block_dimension(variant: str, size: int, edges: int, with_divisors: bool = F
     if 2 * edges == size - 1:
         p = Presentation(variant, range(1, size + 1))
         columns, products = _tree_block(p)
-        return quotient_dimension(p.relations(), edges, p.universe, QQ,
+        return quotient_dimension(p.relations(), edges, p.universe,
                                   columns, products, with_divisors)
     # cyclic block: 2 * edges > size - 1, so every monomial's incidence
     # graph has a cycle, and the loose-cycle certificate makes it zero
@@ -520,7 +520,7 @@ def quad_to_tri(x: SkewPoly, quad: Presentation, tri: Presentation) -> SkewPoly:
 @lru_cache(maxsize=None)
 def _degree_slice(variant: str, labels: tuple, degree: int):
     p = Presentation(variant, labels)
-    return ideal_slice(p.relations(), degree, p.universe, QQ)
+    return ideal_slice(p.relations(), degree, p.universe)
 
 
 def degree_slice(p: Presentation, degree: int):

@@ -2,17 +2,17 @@
 
 Rows are sparse dicts {column_index: value} with integer column indices;
 callers intern their column labels (``FieldEchelon`` also takes any totally
-ordered keys, such as the monomial tuples of one degree).  There are four
+ordered keys, such as the monomial tuples of one degree).  There are three
 kernels:
 
-- ``FieldEchelon``, over Q, behind every ideal slice over Q, every field
-  rank, the span certificate ``same_rational_span`` and, in ``BasisSolver``,
-  every coordinate solve in a certified basis;
-- ``HermiteEchelon``, behind ideal slices over Z and every membership test
-  in an integer lattice;
+- ``FieldEchelon``, over Q, behind every ideal slice, every field rank, the
+  span certificate ``same_rational_span`` and, in ``BasisSolver``, every
+  coordinate solve in a certified basis;
 - ``_eliminate``, the unit-first unimodular elimination behind the Smith
-  divisors and the integer kernels;
-- ``BitEchelon``, rows packed as ints, for the F_2 ranks of the Bockstein.
+  divisors and the integer kernels; every fact over Z (freeness, lattice
+  equality, membership) is read off Smith divisors;
+- ``BitEchelon``, rows packed as ints, for the F_2 ranks of the Bockstein
+  and the mod-2 step of an integer membership certificate.
 
 They favor predictable pivoting (deterministic output) and unit pivots (the
 boundary matrices here are overwhelmingly {0, +-1}).
@@ -180,117 +180,13 @@ class BitEchelon:
         for r in rows:
             self.add(r)
 
-
-# ---------------------------------------------------------------------------
-# integer echelon / Hermite form
-
-
-def _xgcd(a: int, b: int) -> tuple[int, int, int]:
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-        old_t, t = t, old_t - q * t
-    return old_r, old_s, old_t
-
-
-def _row_sub(a: dict, b: dict, q: int) -> dict:
-    out = dict(a)
-    for c, v in b.items():
-        nv = out.get(c, 0) - q * v
-        if nv:
-            out[c] = nv
-        else:
-            out.pop(c, None)
-    return out
-
-
-def _row_comb(a: dict, x: int, b: dict, y: int) -> dict:
-    out = {}
-    for c, v in a.items():
-        nv = x * v
-        if nv:
-            out[c] = nv
-    for c, v in b.items():
-        nv = out.get(c, 0) + y * v
-        if nv:
-            out[c] = nv
-        else:
-            out.pop(c, None)
-    return out
-
-
-class HermiteEchelon:
-    """Sparse integer row echelon with gcd pivots (row-style Hermite form).
-
-    Supports exact membership tests of integer vectors in the row lattice.
-    """
-
-    def __init__(self):
-        self.pivots: dict[int, dict[int, int]] = {}
-
-    @property
-    def rank(self) -> int:
-        return len(self.pivots)
-
-    def add(self, row: dict) -> None:
-        row = {c: int(v) for c, v in row.items() if v}
+    def contains(self, row: int) -> bool:
         while row:
-            c = min(row)
-            piv = self.pivots.get(c)
+            piv = self.pivots.get((row & -row).bit_length() - 1)
             if piv is None:
-                if row[c] < 0:
-                    row = {k: -v for k, v in row.items()}
-                self.pivots[c] = row
-                return
-            a, b = piv[c], row[c]
-            if b % a == 0:
-                row = _row_sub(row, piv, b // a)
-                continue
-            g, x, y = _xgcd(a, b)
-            new_piv = _row_comb(piv, x, row, y)
-            new_row = _row_comb(piv, -(b // g), row, a // g)
-            self.pivots[c] = new_piv
-            row = new_row
-
-    def extend(self, rows) -> None:
-        for r in rows:
-            self.add(dict(r))
-
-    def reduce(self, row: dict) -> dict:
-        """Normal form of an integer vector modulo the row lattice."""
-        row = {c: int(v) for c, v in row.items() if v}
-        heap = sorted(row)
-        seen = set()
-        while heap:
-            c = heapq.heappop(heap)
-            if c in seen:
-                continue
-            seen.add(c)
-            v = row.get(c)
-            if not v:
-                continue
-            piv = self.pivots.get(c)
-            if piv is None:
-                continue
-            q = v // piv[c]
-            if q:
-                for c2, w in piv.items():
-                    fresh = c2 not in row
-                    nv = row.get(c2, 0) - q * w
-                    if nv:
-                        row[c2] = nv
-                        if fresh and c2 not in seen:
-                            heapq.heappush(heap, c2)
-                    else:
-                        row.pop(c2, None)
-        return row
-
-    def contains(self, row: dict) -> bool:
-        return not self.reduce(row)
+                return False
+            row ^= piv
+        return True
 
 
 # ---------------------------------------------------------------------------

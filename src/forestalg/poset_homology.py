@@ -17,7 +17,7 @@ from itertools import combinations, permutations, product
 from math import factorial
 
 from .forests import TriangleGraph, partition_of_edges
-from .linalg import HermiteEchelon, kernel_basis_fast, smith_divisors
+from .linalg import kernel_basis_fast, smith_divisors
 from .skewpoly import perm_sign
 
 
@@ -290,14 +290,36 @@ def _saturated_chains(poset: OddPartitionPoset) -> dict[int, list[tuple]]:
     return chains
 
 
+def _image_equals_kernel(rows: list[dict],
+                         image: list[dict]) -> tuple[int, bool]:
+    """(rank of I, whether I = K), for the lattice I spanned by ``image``
+    and the kernel lattice K of e_i -> rows[i]; the caller has checked that
+    I lies in K.
+
+    K is saturated: Z^N/K embeds in the target of an integer map, so it is
+    torsion-free.  Then I = K exactly when rank I = rank K and every Smith
+    divisor of I is 1.  If so, K/I is finitely generated of rank 0, hence
+    finite, and it lies in Z^N/I, which unit divisors make torsion-free, so
+    K/I = 0.  Conversely, I = K makes Z^N/I torsion-free.  Only the rank of
+    K is needed, from the Smith rank of ``rows``.
+    """
+    rank, divisors = smith_divisors(image)
+    kernel_rank = len(rows) - smith_divisors(rows)[0]
+    return rank, rank == kernel_rank and all(d == 1 for d in divisors)
+
+
 def whitney_homology(n: int) -> dict:
     """Whitney groups W_r (top-degree interval cycles at each rank-r element,
     the adjoined top included for even n) with the top-dropping connecting
     maps.  Verifies the differential squares to zero on cycle bases and that
     the sequence 0 -> W_R -> ... -> W_1 -> W_0 -> 0 is exact over Z: at each
-    spot the image lattice equals the kernel lattice (rank equality plus
-    Hermite membership, the unit-elementary-divisor certificate).  The first
-    sequence is at n = 2; n = 1 has no nontrivial one."""
+    spot r the image lattice I of the connecting map equals the kernel
+    lattice K of (delta_r, project_r) on the chain module (at r = 0, the
+    zero map on W_0 = Z).  Every image vector is checked to be a cycle that
+    ``project`` kills, so I lies in K, and ``_image_equals_kernel`` proves
+    I = K from rank I = rank K and unit Smith divisors of I, because K, a
+    kernel, is saturated.  The first sequence is at n = 2; n = 1 has no
+    nontrivial one."""
     if n < 2:
         raise ValueError("n must be >= 2")
     poset = OddPartitionPoset(n)
@@ -392,7 +414,7 @@ def whitney_homology(n: int) -> dict:
     lattice_equal: dict[int, bool] = {}
     for r in range(0, R + 1):
         if r == 0:
-            kernel_lattice = [{0: 1}]  # the whole of W_0 (its map is zero)
+            stacked = [{}]  # W_0 = Z maps to zero: K is all of it
         else:
             # kernel of (delta_r, project_r) stacked: cycles killed by the
             # connecting map, as a sublattice of the chain module
@@ -403,13 +425,8 @@ def whitney_homology(n: int) -> dict:
                 col = chain_index[r - 1][chains[r][ci][:-1]]
                 row[ncols_delta + col] = 1
                 stacked.append(row)
-            kernel_lattice = kernel_basis_fast(stacked)
-        image = images.get(r + 1, [])
-        ech = HermiteEchelon()
-        ech.extend(image)
-        ranks[r + 1] = ech.rank  # a lattice's rank is its rank over Q
-        lattice_equal[r] = (len(kernel_lattice) == ech.rank
-                            and all(ech.contains(vec) for vec in kernel_lattice))
+        ranks[r + 1], lattice_equal[r] = _image_equals_kernel(
+            stacked, images.get(r + 1, []))
 
     exact = all(lattice_equal.values())
     return {"n": n, "dims": dims,

@@ -4,7 +4,7 @@ Generators are indexed by sorted label tuples (triples or quadruples) and are
 odd: they anticommute and square to zero, so monomials are strictly increasing
 tuples of generator ids and products carry the sign of the sorting
 permutation.  Ideal slices realize a homogeneous ideal degree by degree as a
-row space over Z or Q.
+row space: echelonized over Q, or handed to Smith over Z.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations
 
-from .linalg import FieldEchelon, HermiteEchelon, smith_divisors
+from .linalg import FieldEchelon, smith_divisors
 from .rings import QQ, ZZ, CoefficientRing, RingMismatchError
 
 
@@ -297,19 +297,16 @@ def partial_derivation(p: SkewPoly, gid: int) -> SkewPoly:
 
 
 class IdealSlice:
-    """Echelonized degree-d component of the ideal spanned by homogeneous
-    relations: span{m * r} over monomial multipliers m of complementary
-    degree.  Over Q the echelon is a field echelon; over Z a Hermite form
-    (with elementary divisors available for the torsion certificate)."""
+    """Echelonized degree-d component over Q of the ideal spanned by
+    homogeneous relations: span{m * r} over monomial multipliers m of
+    complementary degree, as a field echelon.  The elementary divisors of
+    the same rows over Z come from Smith, in ``quotient_dimension``."""
 
-    def __init__(self, ring: CoefficientRing, degree: int,
-                 columns: list[tuple], echelon, raw_rows=None):
-        self.ring = ring
+    def __init__(self, degree: int, columns: list[tuple], echelon: FieldEchelon):
         self.degree = degree
         self.columns = columns
         self.col_of = {m: i for i, m in enumerate(columns)}
         self.echelon = echelon
-        self._raw_rows = raw_rows
 
     @property
     def rank(self) -> int:
@@ -318,12 +315,6 @@ class IdealSlice:
     def quotient_dimension(self) -> int:
         return len(self.columns) - self.rank
 
-    def elementary_divisors(self) -> list[int]:
-        if self.ring is not ZZ:
-            raise ValueError("divisors only meaningful over Z")
-        _, divisors = smith_divisors(self._raw_rows)
-        return divisors
-
     def reduce(self, p: SkewPoly) -> SkewPoly:
         """Normal form of p modulo the slice (leading-monomial elimination)."""
         if not p:
@@ -331,7 +322,7 @@ class IdealSlice:
         if p.degree() != self.degree:
             raise ValueError(f"degree {p.degree()} element in degree {self.degree} slice")
         row = self.echelon.reduce({self.col_of[m]: c for m, c in p.terms.items()})
-        return SkewPoly(self.ring, {self.columns[c]: v for c, v in row.items()})
+        return SkewPoly(QQ, {self.columns[c]: v for c, v in row.items()})
 
     def contains(self, p: SkewPoly) -> bool:
         return not self.reduce(p).terms
@@ -343,16 +334,16 @@ def _admits(ring: CoefficientRing, rel_ring: CoefficientRing) -> bool:
     return rel_ring is ring or (ring is QQ and rel_ring is ZZ)
 
 
-def ideal_slice(relations: list[SkewPoly], degree: int,
-                universe: GeneratorUniverse, ring: CoefficientRing,
-                columns=None, products=None) -> IdealSlice:
-    """Build and echelonize the degree-d slice of the two-sided ideal, over
-    Z (Hermite form) or Q (field echelon).
+def slice_rows(relations: list[SkewPoly], degree: int,
+               universe: GeneratorUniverse, ring: CoefficientRing,
+               columns=None, products=None):
+    """(columns, rows) of the degree-d slice of the two-sided ideal over Z
+    or Q; ``rows`` yields the sparse rows over ``columns`` one at a time.
 
     Relations are over ``ring``, or over Z for a slice over Q; rows are built
     from their coefficients with plain arithmetic, so integer relations give
     integer rows.  ``products`` lists the rows as (index into relations,
-    multiplier monomial) pairs, in the order they are eliminated; by default
+    multiplier monomial) pairs, in the order they are yielded; by default
     every relation times every multiplier of complementary degree, relation
     by relation.  ``columns`` restricts to a partition block, given as its
     monomials in increasing order: rows with no term in the block are
@@ -372,44 +363,56 @@ def ideal_slice(relations: list[SkewPoly], degree: int,
         products = ((i, mult) for i, r in enumerate(relations)
                     if r and r.degree() <= degree
                     for mult in universe.monomials(degree - r.degree()))
-    echelon = HermiteEchelon() if ring is ZZ else FieldEchelon()
-    slice_obj = IdealSlice(ring, degree, columns, echelon,
-                           raw_rows=[] if ring is ZZ else None)
-    col_of = slice_obj.col_of
+    col_of = {m: i for i, m in enumerate(columns)}
 
-    for i, mult in products:
-        # distinct relation monomials stay distinct after multiplying by
-        # one monomial, so every product is a separate term of the row
-        row_terms = {}
-        for m, c in relations[i].terms.items():
-            prod = mul_monomials(mult, m)
-            if prod is not None:
-                mono, sign = prod
-                row_terms[mono] = c if sign == 1 else -c
-        if not row_terms:
-            continue
-        if block:
-            inside = [m in col_of for m in row_terms]
-            if not any(inside):
+    def rows():
+        for i, mult in products:
+            # distinct relation monomials stay distinct after multiplying by
+            # one monomial, so every product is a separate term of the row
+            row_terms = {}
+            for m, c in relations[i].terms.items():
+                prod = mul_monomials(mult, m)
+                if prod is not None:
+                    mono, sign = prod
+                    row_terms[mono] = c if sign == 1 else -c
+            if not row_terms:
                 continue
-            if not all(inside):
-                raise AssertionError("row straddles the block columns")
-        row = {col_of[m]: c for m, c in row_terms.items()}
-        if ring is ZZ:
-            slice_obj._raw_rows.append(dict(row))
+            if block:
+                inside = [m in col_of for m in row_terms]
+                if not any(inside):
+                    continue
+                if not all(inside):
+                    raise AssertionError("row straddles the block columns")
+            yield {col_of[m]: c for m, c in row_terms.items()}
+
+    return columns, rows()
+
+
+def ideal_slice(relations: list[SkewPoly], degree: int,
+                universe: GeneratorUniverse, columns=None,
+                products=None) -> IdealSlice:
+    """The degree-d slice of the two-sided ideal, echelonized over Q.
+    Relations are over Z or Q; ``columns`` and ``products`` are as in
+    ``slice_rows``, whose rows enter the echelon one at a time."""
+    columns, rows = slice_rows(relations, degree, universe, QQ, columns,
+                               products)
+    echelon = FieldEchelon()
+    for row in rows:
         echelon.add(row)
-    return slice_obj
+    return IdealSlice(degree, columns, echelon)
 
 
-def quotient_dimension(relations, degree, universe, ring=QQ, columns=None,
+def quotient_dimension(relations, degree, universe, columns=None,
                        products=None, with_divisors=False):
-    """Dimension of (degree-d monomial span)/(ideal slice); optionally also
-    the elementary divisors of the slice over Z (torsion certificate)."""
-    ring_for_rank = ZZ if with_divisors else ring
-    sl = ideal_slice([r if _admits(ring_for_rank, r.ring)
-                      else r.convert(ring_for_rank) for r in relations],
-                     degree, universe, ring_for_rank, columns, products)
-    dim = sl.quotient_dimension()
-    if with_divisors:
-        return dim, sl.elementary_divisors()
-    return dim
+    """Dimension of (degree-d monomial span)/(ideal slice) over Q; with
+    ``with_divisors``, (the same dimension, the elementary divisors of the
+    slice over Z: the torsion certificate), both from one Smith form of the
+    integer rows, whose rank is the rank over Q."""
+    if not with_divisors:
+        return ideal_slice(relations, degree, universe, columns,
+                           products).quotient_dimension()
+    columns, rows = slice_rows([r if r.ring is ZZ else r.convert(ZZ)
+                                for r in relations],
+                               degree, universe, ZZ, columns, products)
+    rank, divisors = smith_divisors(list(rows))
+    return len(columns) - rank, divisors

@@ -128,7 +128,7 @@ def test_blocked_matches_unblocked():
     tri = Presentation("tri", range(1, 7))
     rels = [r.convert(QQ) for r in tri.relations()]
     for d, want in ((1, 20), (2, 64), (3, 0)):
-        sl = ideal_slice(rels, d, tri.universe, QQ)
+        sl = ideal_slice(rels, d, tri.universe)
         assert sl.quotient_dimension() == want
 
 
@@ -182,10 +182,10 @@ def test_block_slice_rejects_a_straddling_row():
     # either side of the columns
     p = Presentation("tri", range(1, 6))
     columns, products = lambda_alg._tree_block(p)
-    assert ideal_slice(p.relations(), 2, p.universe, QQ, columns,
+    assert ideal_slice(p.relations(), 2, p.universe, columns,
                        products).quotient_dimension() == 9
     with pytest.raises(AssertionError, match="straddles"):
-        ideal_slice(p.relations(), 2, p.universe, QQ, columns[1:], products)
+        ideal_slice(p.relations(), 2, p.universe, columns[1:], products)
 
 
 def _connected_spanning_edge_sets(size, edges):
@@ -304,7 +304,7 @@ def test_quad_tri_isomorphism_roundtrip():
     back = quad_to_tri(y, quad, tri)
     again = tri_to_quad(back, quad=quad, tri=tri)
     rels = [r.convert(QQ) for r in quad.relations()]
-    sl = ideal_slice(rels, 1, quad.universe, QQ)
+    sl = ideal_slice(rels, 1, quad.universe)
     assert sl.contains((y - again).convert(QQ))
     assert quad_to_tri(SkewPoly.zero(ZZ), quad, tri) == SkewPoly.zero(ZZ)
 

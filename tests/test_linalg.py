@@ -1,3 +1,4 @@
+import heapq
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -7,8 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from forestalg import poset_homology
+from forestalg.acceptance import _doubles_and_members
 from forestalg.linalg import (BasisSolver, BitEchelon, FieldEchelon,
-                              HermiteEchelon, _row_comb, _row_sub, _xgcd,
                               field_rank, kernel_basis_fast,
                               same_rational_span, smith_divisors)
 
@@ -76,7 +78,122 @@ def test_bit_echelon():
     assert ech.add(0b110)
     assert not ech.add(0b101)  # the sum of the first two
     assert ech.rank == 2
+    assert ech.contains(0b101) and ech.contains(0)
+    assert not ech.contains(0b100)
+    assert ech.rank == 2  # contains leaves the echelon alone
     assert bit_rank([0b1, 0b10, 0b11]) == 2
+
+
+# ---------------------------------------------------------------------------
+# Hermite form: the integer lattice oracle
+
+
+def _xgcd(a: int, b: int) -> tuple[int, int, int]:
+    old_r, r = a, b
+    old_s, s = 1, 0
+    old_t, t = 0, 1
+    while r:
+        q = old_r // r
+        old_r, r = r, old_r - q * r
+        old_s, s = s, old_s - q * s
+        old_t, t = t, old_t - q * t
+    return old_r, old_s, old_t
+
+
+def _row_sub(a: dict, b: dict, q: int) -> dict:
+    out = dict(a)
+    for c, v in b.items():
+        nv = out.get(c, 0) - q * v
+        if nv:
+            out[c] = nv
+        else:
+            out.pop(c, None)
+    return out
+
+
+def _row_comb(a: dict, x: int, b: dict, y: int) -> dict:
+    out = {}
+    for c, v in a.items():
+        nv = x * v
+        if nv:
+            out[c] = nv
+    for c, v in b.items():
+        nv = out.get(c, 0) + y * v
+        if nv:
+            out[c] = nv
+        else:
+            out.pop(c, None)
+    return out
+
+
+class HermiteEchelon:
+    """Sparse integer row echelon with gcd pivots (row-style Hermite form).
+
+    Supports exact membership tests of integer vectors in the row lattice.
+    """
+
+    def __init__(self):
+        self.pivots: dict[int, dict[int, int]] = {}
+
+    @property
+    def rank(self) -> int:
+        return len(self.pivots)
+
+    def add(self, row: dict) -> None:
+        row = {c: int(v) for c, v in row.items() if v}
+        while row:
+            c = min(row)
+            piv = self.pivots.get(c)
+            if piv is None:
+                if row[c] < 0:
+                    row = {k: -v for k, v in row.items()}
+                self.pivots[c] = row
+                return
+            a, b = piv[c], row[c]
+            if b % a == 0:
+                row = _row_sub(row, piv, b // a)
+                continue
+            g, x, y = _xgcd(a, b)
+            new_piv = _row_comb(piv, x, row, y)
+            new_row = _row_comb(piv, -(b // g), row, a // g)
+            self.pivots[c] = new_piv
+            row = new_row
+
+    def extend(self, rows) -> None:
+        for r in rows:
+            self.add(dict(r))
+
+    def reduce(self, row: dict) -> dict:
+        """Normal form of an integer vector modulo the row lattice."""
+        row = {c: int(v) for c, v in row.items() if v}
+        heap = sorted(row)
+        seen = set()
+        while heap:
+            c = heapq.heappop(heap)
+            if c in seen:
+                continue
+            seen.add(c)
+            v = row.get(c)
+            if not v:
+                continue
+            piv = self.pivots.get(c)
+            if piv is None:
+                continue
+            q = v // piv[c]
+            if q:
+                for c2, w in piv.items():
+                    fresh = c2 not in row
+                    nv = row.get(c2, 0) - q * w
+                    if nv:
+                        row[c2] = nv
+                        if fresh and c2 not in seen:
+                            heapq.heappush(heap, c2)
+                    else:
+                        row.pop(c2, None)
+        return row
+
+    def contains(self, row: dict) -> bool:
+        return not self.reduce(row)
 
 
 def test_hermite_membership():
@@ -414,3 +531,103 @@ def test_elimination_ranks_kernels_and_invariance(rows, data):
     cols = data.draw(st.permutations(range(7)))
     permuted = [{cols[c]: v for c, v in rows[i].items()} for i in order]
     assert smith_divisors(permuted) == (rank, divisors)
+
+
+# ---------------------------------------------------------------------------
+# integer lattice certificates from Smith divisors, against the Hermite oracle
+
+
+def _lattices_equal(a: list[dict], b: list[dict]) -> bool:
+    """Equal rank and containment both ways, by Hermite forms."""
+    ha, hb = _lattice(a), _lattice(b)
+    return (ha.rank == hb.rank and all(ha.contains(v) for v in b)
+            and all(hb.contains(v) for v in a))
+
+
+def _doubled(rows: list[dict]) -> list[dict]:
+    return [{c: 2 * v for c, v in r.items()} for r in rows]
+
+
+def test_whitney_exactness_matches_hermite_oracle(monkeypatch):
+    certificate = poset_homology._image_equals_kernel
+    spots = []
+
+    def record(rows, image):
+        spots.append((rows, image))
+        return certificate(rows, image)
+
+    monkeypatch.setattr(poset_homology, "_image_equals_kernel", record)
+    for n in range(2, 7):
+        spots.clear()
+        report = poset_homology.whitney_homology(n)
+        assert len(spots) == len(report["lattice_equal"])
+        for r, (rows, image) in enumerate(spots):
+            assert report["lattice_equal"][r] == _lattices_equal(
+                kernel_basis_ZZ(rows), image)
+            if image:
+                # an image scaled by 2 keeps its rank and loses saturation
+                assert certificate(rows, _doubled(image)) == (
+                    report["connecting_ranks"][r + 1], False)
+
+
+def test_saturation_check_rejects_a_doubled_image():
+    # e0 -> 1, e1 -> -1: the kernel lattice is spanned by (1, 1)
+    rows = [{0: 1}, {0: -1}]
+    check = poset_homology._image_equals_kernel
+    assert check(rows, [{0: 1, 1: 1}]) == (1, True)
+    assert check(rows, [{0: 2, 1: 2}]) == (1, False)
+    assert check(rows, []) == (0, False)
+    # the zero map on Z, as at spot 0 of the Whitney sequence
+    assert check([{}], [{0: 1}]) == (1, True)
+    assert check([{}], [{0: 3}]) == (1, False)
+
+
+@st.composite
+def _divisor_lattices(draw):
+    """(basis rows, scales, lattice rows, targets): k rows of a random
+    unimodular 5 x 5 matrix, each scaled by 1, 2 or 3, plus integer
+    combinations of them; the targets are combinations of the basis rows,
+    and sometimes a row outside their span."""
+    size = 5
+    unimodular = [{i: 1} for i in range(size)]
+    for i, j, k in draw(st.lists(st.tuples(st.integers(0, size - 1),
+                                           st.integers(0, size - 1),
+                                           st.integers(-2, 2)), max_size=8)):
+        if i != j:
+            unimodular[i] = _combination([1, k], [unimodular[i], unimodular[j]])
+    k = draw(st.integers(1, size))
+    basis = unimodular[:k]
+    scales = draw(st.lists(st.sampled_from([1, 1, 2, 3]), min_size=k, max_size=k))
+    lattice = [{c: s * v for c, v in b.items()} for s, b in zip(scales, basis)]
+    coefficient_lists = st.lists(st.integers(-2, 2), min_size=k, max_size=k)
+    lattice += [_combination(c, lattice)
+                for c in draw(st.lists(coefficient_lists, max_size=3))]
+    targets = [_combination(c, basis)
+               for c in draw(st.lists(coefficient_lists, min_size=1, max_size=3))]
+    if k < size and draw(st.booleans()):
+        targets.append(unimodular[k])
+    return scales, lattice, targets
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=_divisor_lattices())
+def test_mod2_membership_matches_hermite_oracle(case):
+    scales, lattice, targets = case
+    oracle = _lattice(lattice)
+    doubled_want = all(oracle.contains(v) for v in _doubled(targets))
+    doubled, plain = _doubles_and_members(lattice, targets)
+    assert doubled == doubled_want
+    # the divisors of the lattice are the scales
+    if doubled_want and 3 not in scales:
+        assert plain == any(oracle.contains(t) for t in targets)
+    else:
+        assert plain is None
+
+
+def test_mod2_membership_undecided_cases():
+    assert _doubles_and_members([{0: 2}], [{0: 1}]) == (True, False)
+    assert _doubles_and_members([{0: 2}, {1: 1}], [{1: 3}]) == (True, True)
+    # 2t in L, but the divisor 3 leaves t undecided
+    assert _doubles_and_members([{0: 3}], [{0: 3}]) == (True, None)
+    # 2t outside L
+    assert _doubles_and_members([{0: 1, 1: 1}], [{0: 1}]) == (False, None)

@@ -6,7 +6,8 @@ from forestalg.lambda_alg import Presentation
 from forestalg.rings import QQ, ZZ, RingMismatchError
 from forestalg.skewpoly import (GeneratorUniverse, SkewPoly, ideal_slice,
                                 mul_monomials, partial_derivation,
-                                poly_from_json_terms, quotient_dimension)
+                                poly_from_json_terms, quotient_dimension,
+                                slice_rows)
 
 
 def _rand_poly(rng, universe, ring, max_terms=3, max_deg=2):
@@ -87,39 +88,39 @@ def test_partial_derivation():
 def test_quotient_dimension_examples():
     p5 = Presentation("tri", range(1, 5))       # four labels
     assert quotient_dimension([r.convert(QQ) for r in p5.relations()], 1,
-                              p5.universe, QQ) == 4
+                              p5.universe) == 4
     p6 = Presentation("tri", range(1, 6))
     assert quotient_dimension([r.convert(QQ) for r in p6.relations()], 2,
-                              p6.universe, QQ) == 9
+                              p6.universe) == 9
     p7 = Presentation("tri", range(1, 7))
     assert quotient_dimension([r.convert(QQ) for r in p7.relations()], 2,
-                              p7.universe, QQ) == 64
+                              p7.universe) == 64
 
 
 def test_integer_relations_give_integer_rational_slice():
     # the relations have coefficients +-1, so the Q echelon never leaves int
     p = Presentation("tri", range(1, 7))
-    sl = ideal_slice(p.relations(), 2, p.universe, QQ)
+    sl = ideal_slice(p.relations(), 2, p.universe)
     assert sl.quotient_dimension() == 64
     assert all(type(v) is int
                for row in sl.echelon.pivots.values() for v in row.values())
     x = p.monomial([(1, 2, 3), (3, 4, 5)], coeff=3, ring=QQ)
     assert sl.reduce(x) == ideal_slice([r.convert(QQ) for r in p.relations()],
-                                       2, p.universe, QQ).reduce(x)
+                                       2, p.universe).reduce(x)
     with pytest.raises(RingMismatchError):
-        ideal_slice([r.convert(QQ) for r in p.relations()], 2, p.universe, ZZ)
+        slice_rows([r.convert(QQ) for r in p.relations()], 2, p.universe, ZZ)
 
 
 def test_empty_relations_slice():
     p = Presentation("tri", range(1, 5))
-    sl = ideal_slice([], 2, p.universe, QQ)
+    sl = ideal_slice([], 2, p.universe)
     assert sl.rank == 0 and sl.quotient_dimension() == len(sl.columns)
 
 
 def test_reduce_projection_properties():
     p = Presentation("tri", range(1, 7))
     rels = [r.convert(QQ) for r in p.relations()]
-    sl = ideal_slice(rels, 2, p.universe, QQ)
+    sl = ideal_slice(rels, 2, p.universe)
     for r in rels:
         assert not sl.reduce(r).terms           # relations reduce to zero
     rng = random.Random(9)
@@ -136,8 +137,8 @@ def test_reduce_projection_properties():
 def test_gf2_and_integer_slices_agree_on_free_quotients():
     p = Presentation("tri", range(1, 6))
     rels = p.relations()
-    dim_q = quotient_dimension([r.convert(QQ) for r in rels], 2, p.universe, QQ)
-    dim_z, div = quotient_dimension(rels, 2, p.universe, ZZ, with_divisors=True)
+    dim_q = quotient_dimension([r.convert(QQ) for r in rels], 2, p.universe)
+    dim_z, div = quotient_dimension(rels, 2, p.universe, with_divisors=True)
     assert dim_q == dim_z == 9
     assert all(d == 1 for d in div)
 
