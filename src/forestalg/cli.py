@@ -134,7 +134,7 @@ def _map_ns(fn, ns: list[int], jobs: int) -> list:
 
 
 def _poset_row(n: int) -> dict:
-    rep = poset_homology.verify_egf_ranks(n)[n]
+    rep = poset_homology.egf_rank_row(n)
     return {"degree": rep["degree"], "rank": rep["rank"],
             "torsion": rep["torsion"], "ok": rep["ok"]}
 

@@ -7,7 +7,8 @@ from forestalg import clear_caches, poset_homology
 from forestalg.forests import (TriangleGraph, basic_trees, forest_mu_key,
                                tree_statistics)
 from forestalg.poset_homology import (TOP, OddPartitionPoset, _all_chains,
-                                      _coarsenings, _saturated_chains,
+                                      _coarsenings, _critical_chains,
+                                      _saturated_chains, _smith_homology,
                                       homology_of_bounded,
                                       interval_homology_by_sizes,
                                       keystone_cochain, make_partition,
@@ -229,7 +230,8 @@ def test_chains_match_pair_scan(n):
 
 def test_interval_chains_match_pair_scan():
     # the product construction lists the interval interior in filter order,
-    # so every chain group, and so every boundary matrix, is unchanged
+    # so every chain group is unchanged, and the cached interval homology
+    # agrees with the Smith form of the boundary matrices
     for total in range(1, 9):
         for sizes in _odd_multisets(total):
             interior, rankf = _interval_by_filter(sizes)
@@ -237,7 +239,37 @@ def test_interval_chains_match_pair_scan():
             assert _all_chains(interior, rankf) == groups
             if any(s > 1 for s in sizes):
                 assert interval_homology_by_sizes(tuple(sorted(sizes))) == \
-                    homology_of_bounded(interior, rankf)
+                    _smith_homology(groups)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_morse_matches_smith(n):
+    # the n-label poset and every interval with n labels: the critical
+    # chains have one length, so homology_of_bounded answers from the
+    # matching, and that answer is the Smith form's
+    poset = OddPartitionPoset(n)
+    cases = [([p for p in poset.elements
+               if p != poset.bottom and p != poset.top], poset.rank)]
+    cases += [_interval_by_filter(sizes) for sizes in _odd_multisets(n)
+              if any(s > 1 for s in sizes)]
+    for interior, rankf in cases:
+        groups = _all_chains(interior, rankf)
+        assert len({len(c) for c in _critical_chains(groups)}) == 1
+        assert homology_of_bounded(interior, rankf) == _smith_homology(groups)
+
+
+def test_two_critical_lengths_fall_back_to_smith(monkeypatch):
+    # the crown a, b < c, d and an isolated e: the order complex is a circle
+    # and a point, with reduced homology Z in dimensions 0 and 1, which the
+    # chain-length grading puts in degrees 2 and 3
+    a, b, e, c, d = range(5)
+    crown = {0: [()], 1: [(a,), (b,), (e,), (c,), (d,)],
+             2: [(a, c), (a, d), (b, c), (b, d)]}
+    assert sorted(_critical_chains(crown)) == [(b, d), (e,)]
+    assert _smith_homology(crown) == [(2, 1, []), (3, 1, [])]
+    monkeypatch.setattr(poset_homology, "_all_chains",
+                        lambda interior, rankf: crown)
+    assert homology_of_bounded(list("abecd"), None) == [(2, 1, []), (3, 1, [])]
 
 
 @pytest.mark.parametrize("n", range(2, 8))
