@@ -198,7 +198,8 @@ def cmd_keel_count(args) -> int:
 
 
 def cmd_bockstein(args) -> int:
-    _at_least(args.n, 0)
+    # the twisted differential runs on the full canonical basis of a KeelRing
+    _at_least(args.n, 2 if args.twisted else 0)
     got = keel.bockstein_cohomology(args.n, twisted=args.twisted)
     report = {"n": args.n, "twisted": args.twisted,
               "dims": dict(sorted(got.items()))}

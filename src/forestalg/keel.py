@@ -24,6 +24,17 @@ inside it.  Components are concatenated as tuples and each monomial is sorted
 once.  Since every laminar family has exactly one such decomposition, no
 monomial is produced twice; the enumeration asserts it instead of
 deduplicating.
+
+The label set itself is walked once (the one-walk lemma).  A canonical
+monomial either has no support equal to the full label set {1..n}, and then
+its family is a proper family of disjoint components (c of them, covering k
+labels), or its outermost support is the full set, and then it is such a
+proper family times P_{1..n}^d with 1 <= d < c - 1 + n - k (the keyhole bound
+of the full set, whose maximal inner supports are the c components).  So each
+proper family yields itself and its full-set extensions.  Appending the full
+set's pair (top, d) keeps the tuple sorted: supports are listed by size and the
+full set is the only one of size n, so its id is the largest.  The per-degree
+counts are tallied in the same walk.
 """
 
 from __future__ import annotations
@@ -62,8 +73,9 @@ class KeelRing:
                 self.supports.append(frozenset(combo))
         self.sup_index = {s: i for i, s in enumerate(self.supports)}
         self._reduce_cache: dict[Monomial, dict[Monomial, int]] = {}
+        # scratch space of one enumeration, emptied when it returns
         self._anchored_cache: dict[tuple, list] = {}
-        self._canonical_cache: list[Monomial] | None = None
+        self._canonical_cache: tuple[list[Monomial], dict[int, int]] | None = None
         self.rewrite_step_limit = 200_000
 
     def monomial(self, sets_with_exps) -> Monomial | None:
@@ -237,12 +249,20 @@ class KeelRing:
 
     # -- canonical monomial enumeration -------------------------------------
 
-    def canonical_monomials(self, degree: int | None = None) -> list[Monomial]:
+    def _canonical(self) -> tuple[list[Monomial], dict[int, int]]:
         if self._canonical_cache is None:
             self._canonical_cache = self._enumerate_canonical()
+        return self._canonical_cache
+
+    def canonical_monomials(self, degree: int | None = None) -> list[Monomial]:
+        monomials = self._canonical()[0]
         if degree is None:
-            return list(self._canonical_cache)
-        return [m for m in self._canonical_cache if self.degree(m) == degree]
+            return list(monomials)
+        return [m for m in monomials if self.degree(m) == degree]
+
+    def canonical_counts(self) -> dict[int, int]:
+        """Number of canonical monomials per degree, by increasing degree."""
+        return dict(self._canonical()[1])
 
     def _anchored(self, support: tuple) -> list[tuple[tuple, int]]:
         """Canonical families whose outermost set is exactly `support`, as
@@ -250,15 +270,20 @@ class KeelRing:
         pairs ending in the pair of `support` itself: the inner supports form
         a disjoint family of proper components inside `support` (c of them,
         covering k labels), and the keyhole bound allows the exponents
-        1 <= d < c - 1 + |support| - k on `support`."""
+        1 <= d < c - 1 + |support| - k on `support`.  This is the one-walk
+        lemma for `support` in place of the full label set; the full set
+        itself is never anchored, since `_enumerate_canonical` extends its
+        proper families directly.  Cached for the current enumeration
+        only."""
         cached = self._anchored_cache.get(support)
         if cached is not None:
             return cached
         sid = self.sup_index[frozenset(support)]
+        tails = [((sid, d),) for d in range(len(support))]
         out = []
         for items, deg, count, covered in self._disjoint_families(support, True):
             for d in range(1, count - 1 + len(support) - covered):
-                out.append((items + ((sid, d),), deg + d))
+                out.append((items + tails[d], deg + d))
         self._anchored_cache[support] = out
         return out
 
@@ -287,14 +312,34 @@ class KeelRing:
                     for citems, cdeg in anchored:
                         yield citems + items, d + cdeg, count + 1, covered + size
 
-    def _enumerate_canonical(self) -> list[Monomial]:
-        """All canonical monomials, sorted; a duplicate would sit next to
-        its twin, and raises."""
-        out = sorted([tuple(sorted(items)) for items, _d, _c, _k
-                      in self._disjoint_families(self.labels)])
+    def _enumerate_canonical(self) -> tuple[list[Monomial], dict[int, int]]:
+        """All canonical monomials, sorted, and their number per degree.
+
+        One walk over the proper families of the full label set: each is a
+        monomial, and so is each of its full-set extensions m + ((top, d),),
+        1 <= d < c - 1 + n - k, already sorted because the full set has the
+        largest support id (module docstring).  The counts are counts of
+        yields; they are the numbers of distinct monomials because a
+        duplicate would sit next to its twin after the sort, and raises."""
+        n = self.n
+        top = self.sup_index.get(frozenset(self.labels))
+        tails = [((top, d),) for d in range(n)]  # shared by all extensions
+        out = []
+        counts: dict[int, int] = {}
+        try:
+            for items, deg, c, k in self._disjoint_families(self.labels, True):
+                m = tuple(sorted(items))
+                out.append(m)
+                counts[deg] = counts.get(deg, 0) + 1
+                for d in range(1, c - 1 + n - k):
+                    out.append(m + tails[d])
+                    counts[deg + d] = counts.get(deg + d, 0) + 1
+        finally:
+            self._anchored_cache.clear()
+        out.sort()
         if any(map(eq, out, islice(out, 1, None))):
             raise AssertionError("duplicate canonical monomial")
-        return out
+        return out, dict(sorted(counts.items()))
 
     # -- gradings ------------------------------------------------------------
 
@@ -462,12 +507,8 @@ def betti_upper_bound(n: int) -> dict:
 
 def canonical_count_report(n: int) -> dict:
     """Canonical monomial counts per degree against the ODE coefficients."""
-    ring = KeelRing(n)
-    counts: dict[int, int] = {}
-    for m in ring.canonical_monomials():
-        d = ring.degree(m)
-        counts[d] = counts.get(d, 0) + 1
+    counts = KeelRing(n).canonical_counts()
     expected = keel_betti_polynomial(n)
-    return {"n": n, "counts": dict(sorted(counts.items())),
+    return {"n": n, "counts": counts,
             "expected": dict(sorted(expected.items())),
             "match": counts == {k: v for k, v in expected.items() if v}}

@@ -211,6 +211,16 @@ def test_degenerate_input_is_a_usage_error(capsys):
     assert code == 0 and json.loads(out)["dims"] == [1]
 
 
+def test_bockstein_at_one_label(capsys):
+    code, out = run(capsys, ["bockstein", "--n", "1"])
+    assert code == 0 and json.loads(out)["dims"] == {"0": 1}
+    # the twisted differential needs a KeelRing, so at least two labels
+    assert main(["bockstein", "--n", "1", "--twisted"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --n must be >= 2\n"
+
+
 def test_step_limit_and_pbw_failures_are_reported(capsys, monkeypatch):
     def step_limit(n):
         raise RuntimeError("rewriting exceeded the step limit")

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 
@@ -63,6 +64,24 @@ def test_canonical_enumeration_rejects_duplicates():
         Doubled(4).canonical_monomials()
 
 
+def test_duplicate_below_the_top_is_caught():
+    # a family of labels 2..n (label 1 uncovered) is a proper family of the
+    # full set, so doubling it doubles a monomial and its full-set extensions
+    class Doubled(KeelRing):
+        def _disjoint_families(self, avail, proper=False):
+            for family in super()._disjoint_families(avail, proper):
+                yield family
+                if avail == self.labels[1:]:
+                    yield family
+
+    for n in (4, 5):
+        ring = Doubled(n)
+        with pytest.raises(AssertionError,
+                           match="duplicate canonical monomial"):
+            ring.canonical_counts()
+        assert not ring._anchored_cache
+
+
 def test_connected_block_matches_partition_grading():
     for n in range(3, 8):
         ring = KeelRing(n)
@@ -76,6 +95,21 @@ def test_connected_block_matches_partition_grading():
 def test_counts_match_ode():
     for n in range(2, 8):
         assert canonical_count_report(n)["match"]
+
+
+def test_counts_are_the_degree_tally():
+    # counts asked first, and after the enumeration has run: same numbers
+    for n in range(2, 9):
+        fresh = KeelRing(n)
+        counts = fresh.canonical_counts()
+        ran = KeelRing(n)
+        monomials = ran.canonical_monomials()
+        tally = Counter(ran.degree(m) for m in monomials)
+        assert canonical_count_report(n)["counts"] == counts == tally
+        assert ran.canonical_counts() == counts
+        assert list(counts) == sorted(counts)
+        assert fresh.canonical_monomials() == monomials
+        assert not fresh._anchored_cache and not ran._anchored_cache
 
 
 def test_monomial_size_two_is_zero():
