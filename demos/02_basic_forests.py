@@ -40,4 +40,4 @@ print("whose functional pairs +-1 with it):")
 f = enumerate_basic_forests(range(1, 8), 3)[0]
 print(f"  forest {f.sorted_edges}")
 print(f"  partner {canonical_ternary_forest(f).to_json()}")
-print(f"  basic certificate: {is_basic(f)[0]}")
+print(f"  basic: {is_basic(f)}")

@@ -2,12 +2,24 @@
 forests, and the signed pairing between the two.
 
 A triangle graph is a 3-uniform hypergraph; a monomial in 3-index generators
-has one edge per factor.  Basic forests (every component's two smallest
-vertices share a triangle, recursively) index the monomial bases everywhere in
-this package.  Ternary forests (rooted trees, internal nodes with exactly 3
-children, leaves labeled by the vertex set) encode iterated compositions of
-the odd ternary homology operation; the pairing between the two kinds of
-forests is what certifies the bases.
+has one edge per factor.  Ternary forests (rooted trees, internal nodes with
+exactly 3 children, leaves labeled by the vertex set) encode iterated
+compositions of the odd ternary homology operation.  The basis theorem rests
+on three decompositions, each written once here:
+
+- the root split (``_root_split``): a basic tree is a point, or its two
+  smallest vertices a < b share exactly one triangle {a, b, k}, whose removal
+  leaves three basic trees holding a, b and k.  ``is_basic`` and
+  ``tree_statistics`` recurse on it; the side at k is the stepchild, whose
+  chain gives a tree's rank, composition and keystone;
+- the keystone walk (``_keystone_walk``): remove the keystone of the first
+  component with an edge until none is left.  Its stage data order the basic
+  forests (``forest_mu_key``), and its removals reversed are the insertion
+  order of the canonical ternary partner (``keystone_insertion_order``);
+- the pairing recursion (``_pair_children``): a forest's trees side by side,
+  or a node's three children under one root generator.  In the
+  ``forest_mu_key`` order, the pairing of basic forests with their canonical
+  partners is unit upper triangular, which certifies the bases.
 """
 
 from __future__ import annotations
@@ -55,7 +67,10 @@ class TriangleGraph:
         return [list(e) for e in self.sorted_edges]
 
 
-def _union_find_components(vertices, edges):
+def _union_find_components(vertices, edges) -> list[tuple]:
+    """Connected components of the hypergraph.  A part lists its vertices in
+    the order of ``vertices`` and the parts come in the order of their first
+    vertex, so sorted vertices give sorted parts ordered by their minimum."""
     parent = {v: v for v in vertices}
 
     def find(x):
@@ -73,18 +88,17 @@ def _union_find_components(vertices, edges):
     groups: dict = {}
     for v in vertices:
         groups.setdefault(find(v), []).append(v)
-    return [tuple(sorted(g)) for g in groups.values()]
+    return [tuple(g) for g in groups.values()]
 
 
 def components(g: TriangleGraph) -> tuple:
     """Connected components as a partition: parts sorted, ordered by minimum."""
-    parts = _union_find_components(g.vertices, g.edges)
-    return tuple(sorted(parts, key=lambda p: p[0]))
+    return tuple(_union_find_components(g.vertices, g.edges))
 
 
 def partition_of_edges(edges, vertices) -> tuple:
-    parts = _union_find_components(vertices, [_canon_edge(e) for e in edges])
-    return tuple(sorted(parts, key=lambda p: p[0]))
+    return tuple(_union_find_components(
+        sorted(vertices), [_canon_edge(e) for e in edges]))
 
 
 def is_forest(g: TriangleGraph) -> bool:
@@ -92,64 +106,45 @@ def is_forest(g: TriangleGraph) -> bool:
     return len(components(g)) == len(g.vertices) - 2 * len(g.edges)
 
 
-def _split_edges_by_part(parts, edges):
-    where = {}
-    for i, p in enumerate(parts):
-        for v in p:
-            where[v] = i
-    out = [[] for _ in parts]
-    for e in edges:
-        out[where[e[0]]].append(e)
-    return [tuple(sorted(es)) for es in out]
+def _edges_in(part: tuple, edges) -> tuple:
+    """The edges of a graph that lie in one of its components."""
+    return tuple(e for e in edges if e[0] in part)
 
 
-def _basic_certificate(comp_vertices: tuple, comp_edges: tuple):
-    """Certificate for one connected component, or None if not basic.
-
-    Certificate: vertex label for a point, else (root_triangle, cert_a,
-    cert_b, cert_k) following the recursive definition.
-    """
-    if not comp_edges:
-        return comp_vertices[0] if len(comp_vertices) == 1 else None
-    a, b = comp_vertices[0], comp_vertices[1]
-    root = None
-    for e in comp_edges:
-        if a in e and b in e:
-            if root is not None:
-                return None  # two triangles through {a,b}: a cycle
-            root = e
-    if root is None:
+def _root_split(vertices: tuple, edges: tuple):
+    """(root, sides) for a graph on sorted vertices with sorted edges, or
+    None.  The root is the one triangle {a, b, k} through the two smallest
+    vertices a < b; removing it must leave exactly three components, holding
+    a, b and k.  ``sides`` lists them as (vertices, edges) in that order:
+    components come ordered by their least vertex, so a's is first, b's is
+    second exactly when b is its least vertex, and k's is third."""
+    a, b = vertices[0], vertices[1]
+    through = [e for e in edges if a in e and b in e]
+    if len(through) != 1:
         return None
+    root = through[0]
     k = next(v for v in root if v != a and v != b)
-    rest = tuple(e for e in comp_edges if e != root)
-    parts = _union_find_components(comp_vertices, rest)
-    if len(parts) != 3:
+    rest = tuple(e for e in edges if e != root)
+    parts = _union_find_components(vertices, rest)
+    if len(parts) != 3 or parts[1][0] != b or k not in parts[2]:
         return None
-    by_part = _split_edges_by_part(parts, rest)
-    cert = {}
-    for p, es in zip(parts, by_part):
-        sub = _basic_certificate(p, es)
-        if sub is None:
-            return None
-        for anchor in (a, b, k):
-            if anchor in p:
-                cert[anchor] = (p, es, sub)
-    return (root, cert[a][2], cert[b][2], cert[k][2])
+    return root, tuple((p, _edges_in(p, rest)) for p in parts)
 
 
-def is_basic(g: TriangleGraph):
-    """(verdict, certificate): per-component recursive root decomposition."""
-    if not is_forest(g):
-        return False, None
-    parts = components(g)
-    by_part = _split_edges_by_part(parts, g.sorted_edges)
-    certs = []
-    for p, es in zip(parts, by_part):
-        c = _basic_certificate(p, es)
-        if c is None:
-            return False, None
-        certs.append(c)
-    return True, tuple(certs)
+def _is_basic_tree(vertices: tuple, edges: tuple) -> bool:
+    """Whether the graph is a basic tree: a point, or a root split whose
+    three sides are basic trees.  Such a graph is a tree, since its sides are
+    trees on 2|E_i| + 1 vertices each, joined by the root."""
+    if not edges:
+        return len(vertices) == 1
+    split = _root_split(vertices, edges)
+    return split is not None and all(_is_basic_tree(*side) for side in split[1])
+
+
+def is_basic(g: TriangleGraph) -> bool:
+    """Whether every component of g is a basic tree."""
+    edges = g.sorted_edges
+    return all(_is_basic_tree(p, _edges_in(p, edges)) for p in components(g))
 
 
 # ---------------------------------------------------------------------------
@@ -277,39 +272,48 @@ class NotBasicError(ValueError):
     pass
 
 
-def _root_and_split(comp_vertices, comp_edges):
-    a, b = comp_vertices[0], comp_vertices[1]
-    root = next((e for e in comp_edges if a in e and b in e), None)
-    if root is None:
-        raise NotBasicError("two smallest vertices share no triangle")
-    k = next(v for v in root if v != a and v != b)
-    rest = tuple(e for e in comp_edges if e != root)
-    parts = _union_find_components(comp_vertices, rest)
-    by_part = _split_edges_by_part(parts, rest)
-    out = {}
-    for p, es in zip(parts, by_part):
-        for anchor in (a, b, k):
-            if anchor in p:
-                out[anchor] = (p, es)
-    if len(out) != 3:
-        raise NotBasicError("root removal did not split into three parts")
-    return root, k, out
-
-
 def tree_statistics(comp_vertices, comp_edges):
     """(rank, stepchild support, keystone triangle, composition) of a basic tree."""
-    comp_vertices = tuple(sorted(comp_vertices))
-    comp_edges = tuple(sorted(_canon_edge(e) for e in comp_edges))
-    if _basic_certificate(comp_vertices, comp_edges) is None:
-        raise NotBasicError(f"tree on {comp_vertices} is not basic")
-    if not comp_edges:
-        return 0, comp_vertices, None, ()
-    root, k, split = _root_and_split(comp_vertices, comp_edges)
-    sc_vs, sc_es = split[k]
-    rank = (len(comp_vertices) - len(sc_vs)) // 2
-    _, _, sc_keystone, sc_mu = tree_statistics(sc_vs, sc_es)
+    vertices = tuple(sorted(comp_vertices))
+    edges = tuple(sorted(_canon_edge(e) for e in comp_edges))
+    if not _is_basic_tree(vertices, edges):
+        raise NotBasicError(f"tree on {vertices} is not basic")
+    return _stepchild_statistics(vertices, edges)
+
+
+def _stepchild_statistics(vertices: tuple, edges: tuple):
+    """tree_statistics of a tree already known to be basic, down the chain
+    of stepchildren (the sides at k)."""
+    if not edges:
+        return 0, vertices, None, ()
+    root, (_, _, (sc_vs, sc_es)) = _root_split(vertices, edges)
+    rank = (len(vertices) - len(sc_vs)) // 2
+    _, _, sc_keystone, sc_mu = _stepchild_statistics(sc_vs, sc_es)
     keystone = root if len(sc_vs) == 1 else sc_keystone
     return rank, sc_vs, keystone, (rank,) + sc_mu
+
+
+def _keystone_walk(F: TriangleGraph) -> list[tuple]:
+    """The keystone-removal history of a basic forest: for each stage, the
+    components in order of their minimum, their compositions, and the
+    keystone of the first component that has an edge, which the next stage
+    removes (None at the last stage, where no edge is left).  Each stage's
+    components are checked basic by ``tree_statistics``."""
+    edges = list(F.sorted_edges)
+    stages = []
+    while True:
+        parts = tuple(_union_find_components(F.vertices, edges))
+        keystone = None
+        mus = []
+        for p in parts:
+            _, _, ks, mu = tree_statistics(p, _edges_in(p, edges))
+            mus.append(mu)
+            if keystone is None:
+                keystone = ks
+        stages.append((parts, tuple(mus), keystone))
+        if keystone is None:
+            return stages
+        edges.remove(keystone)
 
 
 def forest_mu_key(g: TriangleGraph):
@@ -321,29 +325,7 @@ def forest_mu_key(g: TriangleGraph):
     theorem, and the later stages break composition ties the same way the
     greedy reconstruction of a tree from its keystone chain does.
     """
-    stages = []
-    vertices = g.vertices
-    edges = set(g.sorted_edges)
-    while True:
-        parts = []
-        keystone = None
-        for p, es in _stage_components(vertices, edges):
-            _, _, ks, mu = tree_statistics(p, es)
-            parts.append((p, mu))
-            if keystone is None and ks is not None:
-                keystone = ks
-        stages.append((tuple(x[0] for x in parts), tuple(x[1] for x in parts)))
-        if keystone is None:
-            break
-        edges.remove(keystone)
-    return tuple(stages)
-
-
-def _stage_components(vertices, edges):
-    parts = _union_find_components(vertices, tuple(edges))
-    parts = sorted(parts, key=lambda p: p[0])
-    by_part = _split_edges_by_part(parts, tuple(sorted(edges)))
-    return list(zip(parts, by_part))
+    return tuple((parts, mus) for parts, mus, _ in _keystone_walk(g))
 
 
 # ---------------------------------------------------------------------------
@@ -435,41 +417,43 @@ def _eval_sign(degrees) -> int:
     return -1 if total & 1 else 1
 
 
-def _pair_tree(tree: Tree, triangles: tuple) -> int:
-    if not (isinstance(tree, tuple) and tree and tree[0] == "n"):
-        return 1 if not triangles else 0
-    children = tree[1:]
+def _pair_children(children: tuple, triangles, outer: int) -> int:
+    """Sign of the pairing of a triangle sequence with trees side by side:
+    a forest's trees (outer 0), or the three children of one node (outer 1),
+    where exactly one triangle, the node's root generator, meets all three
+    fibres.  Every other triangle lies inside one tree, and each tree gets
+    as many triangles as it has internal nodes, else the value is 0.  The
+    sign is the Koszul one, with slot order (outer factor, then the trees in
+    order); at a node it also carries the permutation taking the sorted root
+    to the fibres of its vertices."""
     supports = [set(tree_leaves(c)) for c in children]
     slots = []
-    root_positions = []
-    sub = ([], [], [])
-    for pos, tri in enumerate(triangles):
-        hits = [i for i, s in enumerate(supports) if set(tri) & s]
-        inside = [i for i, s in enumerate(supports) if set(tri) <= s]
-        if inside:
-            slots.append(inside[0] + 1)
-            sub[inside[0]].append(tri)
-        elif len(hits) == 3:
+    roots = []
+    sub = [[] for _ in children]
+    for tri in triangles:
+        t = set(tri)
+        inside = next((i for i, s in enumerate(supports) if t <= s), None)
+        if inside is not None:
+            slots.append(inside + 1)
+            sub[inside].append(tri)
+        elif outer and all(t & s for s in supports):
             slots.append(0)
-            root_positions.append(pos)
+            roots.append(tri)
         else:
-            return 0  # triangle meets exactly two fibers: image vanishes
-    if len(root_positions) != 1:
+            return 0  # a triangle across two fibres (or two trees) vanishes
+    if len(roots) != outer:
         return 0  # no root generator, or an odd square
-    for i, c in enumerate(children):
-        if len(sub[i]) != tree_internal_nodes(c):
-            return 0
-    root = triangles[root_positions[0]]
-    fiber_of = []
-    for v in root:  # root is sorted; fiber indices form a permutation of 0,1,2
-        fiber_of.append(next(i for i, s in enumerate(supports) if v in s))
-    sign = perm_sign(slots) * perm_sign(fiber_of)
-    for i, c in enumerate(children):
-        r = _pair_tree(c, tuple(sub[i]))
-        if r == 0:
-            return 0
-        sign *= r
-    sign *= _eval_sign([1] + [len(s) for s in sub])
+    if any(len(s) != tree_internal_nodes(c) for c, s in zip(children, sub)):
+        return 0
+    sign = perm_sign(slots) * _eval_sign([outer] + [len(s) for s in sub])
+    if outer:
+        sign *= perm_sign([next(i for i, s in enumerate(supports) if v in s)
+                           for v in roots[0]])
+    for c, s in zip(children, sub):
+        if s:  # c is a node with len(s) internal nodes
+            sign *= _pair_children(c[1:], s, 1)
+            if not sign:
+                return 0
     return sign
 
 
@@ -481,39 +465,16 @@ def pairing(G: TernaryForest, F: TriangleGraph) -> int:
     partition chain whose merge forest is G; the sign convention is the Koszul
     one, with slot order (outer factor, then fibers by component order).
     """
-    if tuple(sorted(G.support)) != g_vertices(F):
+    if G.support != F.vertices:
         raise ValueError("label-set mismatch")
     if not is_forest(F):
         raise ValueError("pairing needs a forest monomial")
     return pairing_on_sequence(G, F.sorted_edges)
 
 
-def g_vertices(F: TriangleGraph) -> tuple:
-    return tuple(sorted(F.vertices))
-
-
 def pairing_on_sequence(G: TernaryForest, triangles: tuple) -> int:
     """Pairing against a monomial written as an explicit triangle sequence."""
-    supports = [set(tree_leaves(t)) for t in G.trees]
-    slots = []
-    sub = [[] for _ in G.trees]
-    for tri in triangles:
-        inside = [i for i, s in enumerate(supports) if set(tri) <= s]
-        if not inside:
-            return 0
-        slots.append(inside[0] + 1)
-        sub[inside[0]].append(tri)
-    for i, t in enumerate(G.trees):
-        if len(sub[i]) != tree_internal_nodes(t):
-            return 0
-    sign = perm_sign(slots)
-    for i, t in enumerate(G.trees):
-        r = _pair_tree(t, tuple(sub[i]))
-        if r == 0:
-            return 0
-        sign *= r
-    sign *= _eval_sign([0] + [len(s) for s in sub])
-    return sign
+    return _pair_children(G.trees, triangles, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -524,23 +485,7 @@ def keystone_insertion_order(F: TriangleGraph) -> tuple:
     """Triangle order whose merge forest is the canonical partner of F:
     repeatedly remove the keystone of the component holding the smallest
     vertex among components that still have an edge."""
-    verdict, _ = is_basic(F)
-    if not verdict:
-        raise NotBasicError("canonical ternary forest needs a basic forest")
-    vertices = F.vertices
-    edges = set(F.sorted_edges)
-    removal = []
-    while edges:
-        parts = _union_find_components(vertices, tuple(edges))
-        parts = sorted(parts, key=lambda p: p[0])
-        by_part = _split_edges_by_part(parts, tuple(sorted(edges)))
-        for p, es in zip(parts, by_part):
-            if es:
-                _, _, keystone, _ = tree_statistics(p, es)
-                removal.append(keystone)
-                edges.remove(keystone)
-                break
-    return tuple(reversed(removal))
+    return tuple(ks for _, _, ks in reversed(_keystone_walk(F)[:-1]))
 
 
 def canonical_ternary_forest(F: TriangleGraph) -> TernaryForest:

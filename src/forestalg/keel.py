@@ -346,8 +346,7 @@ class KeelRing:
     def partition_grading(self, m: Monomial) -> tuple:
         """Components of the support union: parts sorted, by minimum."""
         edges = [tuple(sorted(self.supports[sid])) for sid, _ in m]
-        parts = _union_find_components(self.labels, edges)
-        return tuple(sorted(parts, key=lambda p: p[0]))
+        return tuple(_union_find_components(self.labels, edges))
 
     def connected_block(self, degree: int | None = None) -> list[Monomial]:
         """Canonical monomials whose support union spans all labels in one

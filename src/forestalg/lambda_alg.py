@@ -25,8 +25,9 @@ from itertools import combinations, permutations
 from . import forests
 from .forests import TriangleGraph
 from .linalg import BasisSolver, same_rational_span, smith_divisors
+from .poset_homology import _boundary
 from .rings import QQ, ZZ
-from .series import assemble_partitions, odd_square_product_poly
+from .series import assemble_reachable, odd_square_product_poly
 from .skewpoly import (GeneratorUniverse, SkewPoly, ideal_slice,
                        mul_monomials, quotient_dimension)
 
@@ -365,16 +366,10 @@ def _assert_cyclic_block_dies(size: int, edges: int) -> None:
 
 def assembled_dimension(variant: str, n_labels: int, degree: int) -> int:
     """Degree-d quotient dimension on n labels, assembled over the partition
-    grading from cached connected-block dimensions.
-
-    A block below degree d contributes only next to a second non-singleton
-    part, which needs three more labels; blocks that cannot reach degree d
-    are not computed."""
-    blocks = {s: {e: block_dimension(variant, s, e)
-                  for e in range(max(1, s // 2), degree + 1)
-                  if 3 * e >= s and (e == degree or s + 3 <= n_labels)}
-              for s in range(3, n_labels + 1)}
-    return assemble_partitions(n_labels, blocks).get(degree, 0)
+    grading from cached connected-block dimensions; blocks that cannot reach
+    degree d are not computed (``series.assemble_reachable``)."""
+    return assemble_reachable(
+        n_labels, degree, lambda s, e: block_dimension(variant, s, e))
 
 
 # ---------------------------------------------------------------------------
@@ -595,14 +590,7 @@ def whitney_differential(x: SkewPoly, p: Presentation) -> SkewPoly:
     d(g_1 ... g_l) = sum_i (-1)^(i-1) g_1 ... g_i-hat ... g_l."""
     if p.variant != "twisted":
         raise ValueError("the Whitney differential lives on the twisted variant")
-    out = SkewPoly.zero(x.ring)
-    ring = x.ring
-    for m, c in x.terms.items():
-        for i in range(len(m)):
-            nm = m[:i] + m[i + 1:]
-            term = SkewPoly(ring, {nm: ring.mul(c, (-1) ** (i & 1))})
-            out = out + term
-    return out
+    return SkewPoly(x.ring, _boundary(x.terms))
 
 
 def basic_forest_complex_homology(labels) -> dict[int, int]:

@@ -30,6 +30,8 @@ import heapq
 from fractions import Fraction
 from math import gcd
 
+from .rings import integral
+
 
 # ---------------------------------------------------------------------------
 # field echelon over Q
@@ -194,13 +196,14 @@ class BitEchelon:
 
 
 class _SparseMat:
-    """Mutable sparse matrix with a column index, for elimination."""
+    """Mutable sparse matrix with a column index, for elimination; an entry
+    that is not an integer is a ValueError."""
 
     def __init__(self, rows):
         self.rows: dict[int, dict[int, int]] = {}
         self.col_rows: dict[int, set[int]] = {}
         for i, r in enumerate(rows):
-            rr = {c: int(v) for c, v in r.items() if v}
+            rr = {c: integral(v) for c, v in r.items() if v}
             if rr:
                 self.rows[i] = rr
                 for c in rr:

@@ -16,7 +16,7 @@ from functools import lru_cache
 from itertools import combinations, permutations, product
 from math import factorial
 
-from .forests import TriangleGraph, partition_of_edges
+from .forests import TriangleGraph, keystone_insertion_order, partition_of_edges
 from .linalg import kernel_basis_fast, smith_divisors
 from .skewpoly import perm_sign
 
@@ -137,21 +137,27 @@ def _all_chains(interior, rankf) -> dict[int, list[tuple]]:
     return groups
 
 
+def _boundary(chain_sum: dict[tuple, int], drop: int | None = None) -> dict[tuple, int]:
+    """The alternating face map on a sum {chain: coefficient}: entry i of
+    each chain is dropped with the sign (-1)^i, for every i, or for the i
+    below ``drop`` only.  Terms that cancel are left out."""
+    out: dict[tuple, int] = {}
+    for chain, coeff in chain_sum.items():
+        for i in range(len(chain) if drop is None else drop):
+            face = chain[:i] + chain[i + 1:]
+            v = out.get(face, 0) + (-coeff if i & 1 else coeff)
+            if v:
+                out[face] = v
+            else:
+                out.pop(face, None)
+    return out
+
+
 def _boundary_rows(chains: list[tuple], lower: dict[tuple, int]) -> list[dict]:
     """Rows of the differential on chains of one length; ``lower`` indexes
     the chains one element shorter."""
-    rows = []
-    for chain in chains:
-        row: dict[int, int] = {}
-        for i in range(len(chain)):
-            col = lower[chain[:i] + chain[i + 1:]]
-            v = row.get(col, 0) + (-1) ** (i & 1)
-            if v:
-                row[col] = v
-            else:
-                row.pop(col, None)
-        rows.append(row)
-    return rows
+    return [{lower[face]: v for face, v in _boundary({chain: 1}).items()}
+            for chain in chains]
 
 
 def _smith_homology(groups: dict[int, list[tuple]]) -> list[tuple[int, int, list[int]]]:
@@ -406,18 +412,9 @@ def whitney_homology(n: int) -> dict:
         """Rows of the blockwise interval differential on chains of length r
         (drop interior elements; columns = once-gapped chains, per top)."""
         gap_index: dict[tuple, int] = {}
-        rows = []
-        for chain in chains[r]:
-            row: dict[int, int] = {}
-            for i in range(r - 1):
-                sub = chain[:i] + chain[i + 1:]
-                col = gap_index.setdefault(sub, len(gap_index))
-                v = row.get(col, 0) + (-1) ** (i & 1)
-                if v:
-                    row[col] = v
-                else:
-                    row.pop(col, None)
-            rows.append(row)
+        rows = [{gap_index.setdefault(face, len(gap_index)): v
+                 for face, v in _boundary({chain: 1}, r - 1).items()}
+                for chain in chains[r]]
         return rows, len(gap_index)
 
     # W_r bases as integer vectors over chains[r]
@@ -519,7 +516,6 @@ def tree_to_cycle(T: TriangleGraph, poset: OddPartitionPoset) -> dict[tuple, int
     the chains of component partitions; returns {interior chain: coefficient}
     and asserts the result is a cycle."""
     edges = T.sorted_edges
-    n = poset.n
     if tuple(sorted(T.vertices)) != poset.labels:
         raise ValueError("tree must span the poset's label set")
     parts_all = partition_of_edges(edges, poset.labels)
@@ -539,28 +535,13 @@ def tree_to_cycle(T: TriangleGraph, poset: OddPartitionPoset) -> dict[tuple, int
             result[key] = v
         else:
             result.pop(key, None)
-    _assert_cycle(result, poset)
-    return result
-
-
-def _assert_cycle(chain_sum: dict[tuple, int], poset: OddPartitionPoset) -> None:
-    boundary: dict[tuple, int] = {}
-    for chain, coeff in chain_sum.items():
-        for i in range(len(chain)):
-            sub = chain[:i] + chain[i + 1:]
-            v = boundary.get(sub, 0) + coeff * (-1) ** (i & 1)
-            if v:
-                boundary[sub] = v
-            else:
-                boundary.pop(sub, None)
-    if boundary:
+    if _boundary(result):
         raise AssertionError("tree image is not a cycle")
+    return result
 
 
 def keystone_cochain(T: TriangleGraph, poset: OddPartitionPoset) -> tuple:
     """The elementary cochain (maximal chain) of the keystone insertion order."""
-    from .forests import keystone_insertion_order
-
     order = keystone_insertion_order(T)
     chain = []
     for k in range(1, len(order)):

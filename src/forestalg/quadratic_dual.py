@@ -27,7 +27,7 @@ from itertools import combinations, combinations_with_replacement, permutations
 
 from .lambda_alg import Presentation
 from .linalg import FieldEchelon, kernel_basis_fast, same_rational_span
-from .series import assemble_partitions, odd_square_product_poly
+from .series import assemble_reachable, odd_square_product_poly
 
 
 def _triples(labels) -> list[tuple]:
@@ -220,13 +220,7 @@ def un_dimension(n: int, d: int) -> int:
         raise ValueError("degree bound exceeded (d <= 3, or d <= 4 for n <= 6)")
     if d > 4:
         raise ValueError("degree bound exceeded")
-    # as in lambda_alg.assembled_dimension, a block below degree d needs a
-    # second block of at least three more labels
-    blocks = {m: {dd: dual_block_dimension(m, dd)
-                  for dd in range(1, d + 1)
-                  if 3 * dd >= m and (dd == d or m + 3 <= n - 1)}
-              for m in range(3, n)}
-    return assemble_partitions(n - 1, blocks).get(d, 0)
+    return assemble_reachable(n - 1, d, dual_block_dimension)
 
 
 # ---------------------------------------------------------------------------

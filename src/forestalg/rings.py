@@ -13,6 +13,20 @@ class RingMismatchError(ValueError):
     """Raised when elements of different coefficient rings are combined."""
 
 
+def integral(c) -> int:
+    """c as an int; ValueError unless c is an integer (an integral Fraction
+    passes, 1/2 or 2.7 does not)."""
+    if type(c) is int:
+        return c
+    try:
+        i = int(c)
+    except (OverflowError, ValueError):  # inf, nan
+        raise ValueError(f"{c!r} is not an integer") from None
+    if i != c:
+        raise ValueError(f"{c!r} is not an integer")
+    return i
+
+
 class CoefficientRing:
     """Z or Q, identified by tag."""
 
@@ -37,9 +51,10 @@ class CoefficientRing:
         raise AttributeError("CoefficientRing is immutable")
 
     def normalize(self, c):
-        """Canonical representative; may return 0."""
+        """Canonical representative; may return 0.  ValueError for a value
+        outside the ring, such as 1/2 over Z."""
         if self.tag == "Z":
-            return int(c)
+            return integral(c)
         if isinstance(c, Fraction):
             return c
         return Fraction(c)

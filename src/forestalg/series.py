@@ -282,6 +282,19 @@ def assemble_partitions(n: int, blocks) -> dict[int, int]:
     return dict(sorted(a[n].items()))
 
 
+def assemble_reachable(n: int, degree: int, block) -> int:
+    """The degree-``degree`` dimension of ``assemble_partitions`` on n labels,
+    with the connected block on s labels in degree e read from block(s, e)
+    only where it can reach that degree.  A connected block needs
+    2e + 1 >= s, as e connected 3-sets cover at most 2e + 1 labels; a
+    block below the asked degree contributes only next to a second
+    non-singleton part, which needs three more labels."""
+    blocks = {s: {e: block(s, e) for e in range(max(1, s // 2), degree + 1)
+                  if e == degree or s + 3 <= n}
+              for s in range(3, n + 1)}
+    return assemble_partitions(n, blocks).get(degree, 0)
+
+
 def solve_keel_ode(max_order: int) -> TruncatedSeries:
     """Unique A(u,t) with lowest term u^2/2 solving A_u = u + (1+t)A + t*A*A_u.
 

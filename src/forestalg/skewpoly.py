@@ -51,14 +51,20 @@ class GeneratorUniverse:
         return len(self.tuples)
 
     def gen_id(self, indices) -> tuple[int, int] | None:
-        """(generator id, sign) for possibly unsorted indices; None if repeated."""
+        """(generator id, sign) for possibly unsorted indices; None if
+        repeated.  ValueError for the wrong number of indices or a label
+        outside the universe."""
         tup = tuple(indices)
+        if len(tup) != self.arity:
+            raise ValueError(f"generator {list(tup)} has {len(tup)} indices, "
+                             f"expected {self.arity}")
         if len(set(tup)) != len(tup):
             return None
         s = tuple(sorted(tup))
         gid = self.index.get(s)
         if gid is None:
-            raise KeyError(f"indices {tup} outside universe labels {self.labels}")
+            raise ValueError(f"generator {list(tup)} has a label outside "
+                             f"{list(self.labels)}")
         sign = 1 if self.symmetric else perm_sign(tup)
         return gid, sign
 

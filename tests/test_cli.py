@@ -83,6 +83,17 @@ def test_reduce_malformed_element(capsys):
         assert err.startswith("error: ") and err.count("\n") == 1
 
 
+def test_reduce_generator_errors_name_the_cause(capsys):
+    # labels of `reduce --n 5` are 1..4 and its generators take three
+    for monomial, err in (
+            ([[1, 2]], "error: generator [1, 2] has 2 indices, expected 3\n"),
+            ([[1, 2, 9]],
+             "error: generator [1, 2, 9] has a label outside [1, 2, 3, 4]\n")):
+        element = json.dumps([{"monomial": monomial}])
+        assert main(["reduce", "--n", "5", "--element", element]) == 2
+        assert capsys.readouterr().err == err
+
+
 # arbitrary JSON values, and term lists that pass the parser's outer checks
 # often enough to reach the inner ones (labels of `reduce --n 6` are 1..5)
 _keys = st.sampled_from(["monomial", "numerator", "denominator"]) | st.text(max_size=3)

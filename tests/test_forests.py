@@ -33,8 +33,7 @@ def test_display_example_fixture():
     sizes = sorted(len(p) for p in parts)
     assert sizes == [5, 11]
     assert ("j", "m", "o", "r", "u") in parts
-    verdict, cert = is_basic(g)
-    assert verdict and cert is not None
+    assert is_basic(g)
 
 
 def test_is_forest_examples():
@@ -46,11 +45,24 @@ def test_is_forest_examples():
 
 def test_is_basic_examples():
     g = TriangleGraph.make(range(1, 6), [(1, 3, 4)])
-    assert is_basic(g)[0]          # 1 and 3 are the two smallest of {1,3,4}
+    assert is_basic(g) is True     # 1 and 3 are the two smallest of {1,3,4}
     g2 = TriangleGraph.make(range(1, 6), [(1, 2, 5), (3, 4, 5)])
-    assert is_basic(g2)[0]
+    assert is_basic(g2) is True
     g3 = TriangleGraph.make(range(1, 6), [(1, 4, 5), (2, 3, 5)])
-    assert not is_basic(g3)[0]    # 1 and 2 share no triangle
+    assert is_basic(g3) is False   # 1 and 2 share no triangle
+
+
+def test_is_basic_matches_enumeration():
+    # every edge set of at most (n - 1) // 2 triangles on n <= 7 labels,
+    # cycles included, is basic exactly when the enumeration lists it
+    for n in range(1, 8):
+        labels = tuple(range(1, n + 1))
+        triples = list(combinations(labels, 3))
+        for e in range((n - 1) // 2 + 1):
+            basic = set(enumerate_basic_forests(labels, e))
+            for es in combinations(triples, e):
+                g = TriangleGraph.make(labels, es)
+                assert is_basic(g) is (g in basic), es
 
 
 def test_enumeration_counts():
@@ -104,6 +116,10 @@ def test_tree_statistics_examples():
     assert stepchild == (3,) and keystone == (1, 2, 3)
     with pytest.raises(NotBasicError):
         tree_statistics((1, 2, 3, 4, 5), [(1, 4, 5), (2, 3, 5)])
+    # the root's three sides are {1}, {2}, {3}, but removing it leaves four
+    # components: 4 lies on no side, so this is no tree
+    with pytest.raises(NotBasicError):
+        tree_statistics((1, 2, 3, 4), [(1, 2, 3)])
 
 
 def test_keystone_minimality_lemma():
@@ -123,8 +139,7 @@ def test_keystone_minimality_lemma():
                 g = TriangleGraph.make(labels, new)
                 if len(components(g)) != 1:
                     continue
-                ok, _ = is_basic(g)
-                if not ok:
+                if not is_basic(g):
                     continue
                 _, _, _, mu2 = tree_statistics(labels, tuple(sorted(new)))
                 if new == es:

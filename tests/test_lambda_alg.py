@@ -323,11 +323,7 @@ def test_normal_form_examples():
     # a non-basic tree becomes an explicit combination
     z = p.monomial([(1, 4, 5), (2, 3, 5)]).convert(QQ)
     nf = forest_normal_form(z, p)
-    assert nf and all(is_basic_graph(g) for g in nf)
-
-
-def is_basic_graph(g):
-    return forests.is_basic(g)[0]
+    assert nf and all(forests.is_basic(g) for g in nf)
 
 
 def test_whitney_differential():

@@ -259,6 +259,17 @@ def test_smith_divisors_known_matrix():
     assert smith_divisors(rows) == (504, [1] * 502 + [2, 12])
 
 
+def test_integer_kernels_reject_non_integral_entries():
+    # an entry that is not an integer is refused, not truncated
+    for bad in (Fraction(1, 2), 2.7, float("inf")):
+        with pytest.raises(ValueError):
+            smith_divisors([{0: bad}])
+        with pytest.raises(ValueError):
+            kernel_basis_fast([{0: 1}, {0: bad}])
+    # integral values of other types are the integers they equal
+    assert smith_divisors([{0: Fraction(4, 2)}, {1: 3.0}]) == (2, [1, 6])
+
+
 def test_smith_divisors_identity_like():
     rank, divisors = smith_divisors([{0: 1, 5: 7}, {1: -1}, {2: 1, 0: 3}])
     assert rank == 3
