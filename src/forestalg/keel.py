@@ -33,15 +33,27 @@ proper family times P_{1..n}^d with 1 <= d < c - 1 + n - k (the keyhole bound
 of the full set, whose maximal inner supports are the c components).  So each
 proper family yields itself and its full-set extensions.  Appending the full
 set's pair (top, d) keeps the tuple sorted: supports are listed by size and the
-full set is the only one of size n, so its id is the largest.  The per-degree
-counts are tallied in the same walk.
+full set is the only one of size n, so its id is the largest.
+
+The per-degree counts need no list (the relabelling lemma).  The families
+inside a sorted label tuple, and the anchored families of a support, are
+built from the order of its labels alone, so the order-preserving bijection
+onto {1..s} matches those inside any s labels one for one, keeping degree,
+component count and labels covered.  Their numbers therefore depend on s
+only: `families(s, proper)` and `anchored(t)` count them by recursion on s,
+where the choice of a component's t - 1 labels besides the smallest among
+the s - 1 others becomes the multiplicity C(s - 1, t - 1), and
+`canonical_counts(n)` applies the one-walk rule to the proper families of
+{1..n}.  The enumeration is the test oracle for these counts.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 from itertools import combinations, islice
+from math import comb
 from operator import eq
+from types import MappingProxyType
 
 from .forests import _union_find_components
 from .linalg import BitEchelon
@@ -75,7 +87,7 @@ class KeelRing:
         self._reduce_cache: dict[Monomial, dict[Monomial, int]] = {}
         # scratch space of one enumeration, emptied when it returns
         self._anchored_cache: dict[tuple, list] = {}
-        self._canonical_cache: tuple[list[Monomial], dict[int, int]] | None = None
+        self._canonical_cache: list[Monomial] | None = None
         self.rewrite_step_limit = 200_000
 
     def monomial(self, sets_with_exps) -> Monomial | None:
@@ -249,20 +261,18 @@ class KeelRing:
 
     # -- canonical monomial enumeration -------------------------------------
 
-    def _canonical(self) -> tuple[list[Monomial], dict[int, int]]:
+    def canonical_monomials(self, degree: int | None = None) -> list[Monomial]:
         if self._canonical_cache is None:
             self._canonical_cache = self._enumerate_canonical()
-        return self._canonical_cache
-
-    def canonical_monomials(self, degree: int | None = None) -> list[Monomial]:
-        monomials = self._canonical()[0]
+        monomials = self._canonical_cache
         if degree is None:
             return list(monomials)
         return [m for m in monomials if self.degree(m) == degree]
 
     def canonical_counts(self) -> dict[int, int]:
-        """Number of canonical monomials per degree, by increasing degree."""
-        return dict(self._canonical()[1])
+        """Number of canonical monomials per degree, by increasing degree,
+        counted without listing them (module function `canonical_counts`)."""
+        return canonical_counts(self.n)
 
     def _anchored(self, support: tuple) -> list[tuple[tuple, int]]:
         """Canonical families whose outermost set is exactly `support`, as
@@ -273,7 +283,8 @@ class KeelRing:
         1 <= d < c - 1 + |support| - k on `support`.  This is the one-walk
         lemma for `support` in place of the full label set; the full set
         itself is never anchored, since `_enumerate_canonical` extends its
-        proper families directly.  Cached for the current enumeration
+        proper families directly.  The module function `anchored` counts
+        these families by degree.  Cached for the current enumeration
         only."""
         cached = self._anchored_cache.get(support)
         if cached is not None:
@@ -312,34 +323,32 @@ class KeelRing:
                     for citems, cdeg in anchored:
                         yield citems + items, d + cdeg, count + 1, covered + size
 
-    def _enumerate_canonical(self) -> tuple[list[Monomial], dict[int, int]]:
-        """All canonical monomials, sorted, and their number per degree.
+    def _enumerate_canonical(self) -> list[Monomial]:
+        """All canonical monomials, sorted.
 
         One walk over the proper families of the full label set: each is a
         monomial, and so is each of its full-set extensions m + ((top, d),),
         1 <= d < c - 1 + n - k, already sorted because the full set has the
-        largest support id (module docstring).  The counts are counts of
-        yields; they are the numbers of distinct monomials because a
-        duplicate would sit next to its twin after the sort, and raises."""
+        largest support id (module docstring).  A duplicate would sit next
+        to its twin after the sort, and raises, so the list holds each
+        canonical monomial once; its degree tally is the test oracle of
+        `canonical_counts`."""
         n = self.n
         top = self.sup_index.get(frozenset(self.labels))
         tails = [((top, d),) for d in range(n)]  # shared by all extensions
         out = []
-        counts: dict[int, int] = {}
         try:
-            for items, deg, c, k in self._disjoint_families(self.labels, True):
+            for items, _, c, k in self._disjoint_families(self.labels, True):
                 m = tuple(sorted(items))
                 out.append(m)
-                counts[deg] = counts.get(deg, 0) + 1
                 for d in range(1, c - 1 + n - k):
                     out.append(m + tails[d])
-                    counts[deg + d] = counts.get(deg + d, 0) + 1
         finally:
             self._anchored_cache.clear()
         out.sort()
         if any(map(eq, out, islice(out, 1, None))):
             raise AssertionError("duplicate canonical monomial")
-        return out, dict(sorted(counts.items()))
+        return out
 
     # -- gradings ------------------------------------------------------------
 
@@ -356,6 +365,56 @@ class KeelRing:
         top = self.sup_index.get(frozenset(self.labels))
         return [m for m in self.canonical_monomials(degree)
                 if m and m[-1][0] == top]
+
+
+# ---------------------------------------------------------------------------
+# canonical monomial counts by label-set size (the relabelling lemma)
+
+
+@lru_cache(maxsize=None)
+def families(s: int, proper: bool = False) -> MappingProxyType:
+    """{(degree, components c, labels covered k): number} of the families
+    that `KeelRing._disjoint_families` yields inside any s sorted labels:
+    the smallest label is uncovered, or the smallest of one anchored
+    component of t labels whose other t - 1 are chosen among the s - 1
+    others, the rest of the family lying in the s - t labels left over.
+    Read-only, since the cache hands the same mapping to every caller."""
+    if s < 3:
+        return MappingProxyType({(0, 0, 0): 1})
+    out = dict(families(s - 1))
+    for t in range(3, s + 1 - proper):
+        ways, component = comb(s - 1, t - 1), anchored(t)
+        for (deg, c, k), num in families(s - t).items():
+            for adeg, anum in component.items():
+                key = (deg + adeg, c + 1, k + t)
+                out[key] = out.get(key, 0) + ways * num * anum
+    return MappingProxyType(out)
+
+
+@lru_cache(maxsize=None)
+def anchored(t: int) -> MappingProxyType:
+    """{degree: number} of the anchored families of a t-label support
+    (`KeelRing._anchored`): a proper family (c components covering k
+    labels) times the support's class to the power d, with the keyhole
+    bound 1 <= d < c - 1 + t - k.  Read-only like `families`."""
+    out: dict[int, int] = {}
+    for (deg, c, k), num in families(t, True).items():
+        for d in range(1, c - 1 + t - k):
+            out[deg + d] = out.get(deg + d, 0) + num
+    return MappingProxyType(out)
+
+
+def canonical_counts(n: int) -> dict[int, int]:
+    """Number of canonical monomials on n labels per degree, by increasing
+    degree, by the one-walk rule: each proper family of {1..n} counts at its
+    own degree and its full-set extensions are the anchored families of the
+    full set."""
+    if n < 2:
+        raise ValueError("need n >= 2")
+    counts = dict(anchored(n))
+    for (deg, _, _), num in families(n, True).items():
+        counts[deg] = counts.get(deg, 0) + num
+    return dict(sorted(counts.items()))
 
 
 # ---------------------------------------------------------------------------
@@ -505,8 +564,10 @@ def betti_upper_bound(n: int) -> dict:
 
 
 def canonical_count_report(n: int) -> dict:
-    """Canonical monomial counts per degree against the ODE coefficients."""
-    counts = KeelRing(n).canonical_counts()
+    """Canonical monomial counts per degree against the ODE coefficients;
+    the counts come from the recursion on label-set size, no ring is
+    built."""
+    counts = canonical_counts(n)
     expected = keel_betti_polynomial(n)
     return {"n": n, "counts": counts,
             "expected": dict(sorted(expected.items())),

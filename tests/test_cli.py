@@ -186,6 +186,15 @@ def test_keel_count_and_dual(capsys):
     assert json.loads(out)["match"]
 
 
+def test_keel_count_beyond_the_enumeration(capsys):
+    # the counts come from the recursion on label-set size, so n = 14 is cheap
+    code, out = run(capsys, ["keel-count", "--n", "10-14", "--order", "10"])
+    assert code == 0
+    rows = json.loads(out)["rows"]
+    assert list(rows) == [str(n) for n in range(10, 15)]
+    assert all(row["match"] is True for row in rows.values())
+
+
 def test_pairing_and_whitney(capsys):
     code, out = run(capsys, ["pairing", "--n", "6"])
     assert code == 0

@@ -3,6 +3,7 @@ from collections import Counter
 
 import pytest
 
+from forestalg import keel
 from forestalg.keel import (KeelRing, _grevlex_key, assembled_hbeta_dims, beta,
                             beta_twisted, betti_upper_bound,
                             bockstein_cohomology, canonical_count_report,
@@ -78,7 +79,7 @@ def test_duplicate_below_the_top_is_caught():
         ring = Doubled(n)
         with pytest.raises(AssertionError,
                            match="duplicate canonical monomial"):
-            ring.canonical_counts()
+            ring.canonical_monomials()
         assert not ring._anchored_cache
 
 
@@ -98,18 +99,37 @@ def test_counts_match_ode():
 
 
 def test_counts_are_the_degree_tally():
-    # counts asked first, and after the enumeration has run: same numbers
-    for n in range(2, 9):
-        fresh = KeelRing(n)
-        counts = fresh.canonical_counts()
-        ran = KeelRing(n)
-        monomials = ran.canonical_monomials()
-        tally = Counter(ran.degree(m) for m in monomials)
+    # the enumeration is the oracle for the recursion on label-set size
+    for n in range(2, 10):
+        ring = KeelRing(n)
+        counts = ring.canonical_counts()
+        assert ring._canonical_cache is None  # counted without listing
+        tally = Counter(ring.degree(m) for m in ring.canonical_monomials())
         assert canonical_count_report(n)["counts"] == counts == tally
-        assert ran.canonical_counts() == counts
+        assert ring.canonical_counts() == counts
         assert list(counts) == sorted(counts)
-        assert fresh.canonical_monomials() == monomials
-        assert not fresh._anchored_cache and not ran._anchored_cache
+        assert not ring._anchored_cache
+
+
+def test_family_counts_depend_only_on_size():
+    # the relabelling lemma, on label tuples that are not an initial segment
+    ring = KeelRing(8)
+    for avail in ((2, 4, 5, 7), (1, 3, 4, 6, 8), (2, 3, 5, 6, 7, 8)):
+        for proper in (False, True):
+            walked = Counter((deg, c, k) for _, deg, c, k
+                             in ring._disjoint_families(avail, proper))
+            assert walked == dict(keel.families(len(avail), proper))
+        anchored = Counter(deg for _, deg in ring._anchored(avail))
+        assert anchored == dict(keel.anchored(len(avail)))
+
+
+def test_counts_build_no_ring(monkeypatch):
+    def no_ring(n):
+        raise AssertionError("the counts built a KeelRing")
+
+    monkeypatch.setattr(keel, "KeelRing", no_ring)
+    for n in range(10, 17):
+        assert canonical_count_report(n)["match"]
 
 
 def test_monomial_size_two_is_zero():
