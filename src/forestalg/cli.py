@@ -106,8 +106,7 @@ def cmd_basis(args) -> int:
 def cmd_reduce(args) -> int:
     _at_least(args.n, 1)
     labels = tuple(range(1, args.n))
-    pres = lambda_alg.Presentation(args.variant if args.variant != "quad" else "tri",
-                                   labels)
+    pres = lambda_alg.Presentation(args.variant, labels)
     data = json.loads(args.element)
     x = poly_from_json_terms(QQ, pres.universe, data)
     nf = lambda_alg.forest_normal_form(x, pres)

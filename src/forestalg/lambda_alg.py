@@ -19,12 +19,14 @@ and equal rank, both by exact elimination over Q.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, permutations
+from math import lcm
 
 from . import forests
 from .forests import TriangleGraph
-from .linalg import BasisSolver, same_rational_span, smith_divisors
+from .linalg import BasisSolver, _rational, same_rational_span, smith_divisors
 from .poset_homology import _boundary
 from .rings import QQ, ZZ
 from .series import assemble_reachable, odd_square_product_poly
@@ -555,7 +557,14 @@ def _certified_basis(variant: str, labels: tuple, degree: int):
 
 
 def forest_normal_form(x: SkewPoly, p: Presentation) -> dict[TriangleGraph, object]:
-    """Coordinates of x over the certified basic-forest monomial basis."""
+    """Coordinates of x over the certified basic-forest monomial basis.
+
+    Slice reduction and the coordinate solve are both linear, so with D the
+    lcm of x's coefficient denominators, the coordinates of x are those of
+    the integer element D x divided by D.  Denominators are cleared once
+    here, and the reduction and the solve run on integers wherever the
+    slice's pivots and the basis inverse are integral.
+    """
     if p.variant == "quad":
         raise ValueError("forest normal forms apply to 3-index variants")
     if not x:
@@ -569,7 +578,9 @@ def forest_normal_form(x: SkewPoly, p: Presentation) -> dict[TriangleGraph, obje
     if d == 0:
         return {TriangleGraph.make(p.labels, []): x.terms[()]}
     basics, sl, solver = _certified_basis(p.variant, p.labels, d)
-    target = sl.reduce(x.convert(QQ))
+    den = lcm(*(c.denominator for c in x.terms.values()))
+    target = sl.reduce(SkewPoly(ZZ, {m: c.numerator * (den // c.denominator)
+                                     for m, c in x.terms.items()}))
     vec = {sl.col_of[m]: c for m, c in target.terms.items()}
     coords = solver.coordinates(vec)
     if coords is None:
@@ -577,7 +588,7 @@ def forest_normal_form(x: SkewPoly, p: Presentation) -> dict[TriangleGraph, obje
     out = {}
     for (f, _), c in zip(basics, coords):
         if c:
-            out[f] = c
+            out[f] = c if den == 1 else _rational(Fraction(c, den))
     return out
 
 

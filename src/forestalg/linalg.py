@@ -6,8 +6,8 @@ ordered keys, such as the monomial tuples of one degree).  There are three
 kernels:
 
 - ``FieldEchelon``, over Q, behind every ideal slice, every field rank, the
-  span certificate ``same_rational_span`` and, in ``BasisSolver``, every
-  coordinate solve in a certified basis;
+  span certificate ``same_rational_span`` and, in ``BasisSolver``, the
+  unit residues that every coordinate solve in a certified basis sums;
 - ``_eliminate``, the unit-first unimodular elimination behind the Smith
   divisors and the integer kernels; every fact over Z (freeness, lattice
   equality, membership) is read off Smith divisors;
@@ -374,6 +374,13 @@ class BasisSolver:
     placed past every basis column.  The basis is independent exactly when
     no pivot lead falls in that block, and a vector v lies in its span
     exactly when [v | 0] reduces to [0 | -coordinates].
+
+    Reduction is linear, so the residue of [v | 0] is the sum over v's
+    columns c of v_c times the residue of the unit vector [e_c | 0].  Each
+    unit residue is computed once, on first use, and kept exactly: its part
+    on the basis columns (only when nonempty) and its coordinate part as
+    (basis index, value) pairs.  A query is then one sparse sum, and its
+    answer does not depend on which columns earlier queries met.
     """
 
     def __init__(self, basis: list[dict]):
@@ -384,11 +391,33 @@ class BasisSolver:
             self.echelon.add({**b, self.offset + k: 1})
         if any(lead >= self.offset for lead in self.echelon.pivots):
             raise ValueError("basis rows are linearly dependent")
+        self._units: dict[int, tuple] = {}  # column -> (rest or None, pairs)
+
+    def _unit(self, c: int) -> tuple:
+        got = self._units.get(c)
+        if got is None:
+            offset = self.offset
+            residue = self.echelon.reduce({c: 1})
+            rest = {k: w for k, w in residue.items() if k < offset}
+            got = self._units[c] = (rest or None, tuple(
+                (k - offset, -w) for k, w in residue.items() if k >= offset))
+        return got
 
     def coordinates(self, vector: dict) -> list | None:
         if any(c >= self.offset for c, v in vector.items() if v):
             return None
-        residue = self.echelon.reduce(vector)
-        if any(c < self.offset for c in residue):
+        coords = [0] * self.nbasis
+        rest: dict = {}
+        for c, v in vector.items():
+            if not v:
+                continue
+            v = _rational(v)
+            unit_rest, unit_coords = self._unit(c)
+            for k, w in unit_coords:
+                coords[k] += v * w
+            if unit_rest is not None:
+                for k, w in unit_rest.items():
+                    rest[k] = rest.get(k, 0) + v * w
+        if any(rest.values()):
             return None
-        return [-residue.get(self.offset + k, 0) for k in range(self.nbasis)]
+        return coords

@@ -254,7 +254,12 @@ def _check_json_term(item) -> None:
 
 def poly_from_json_terms(ring, universe: GeneratorUniverse, data) -> SkewPoly:
     """Element from a JSON term list (the format of ``to_json_terms``);
-    ValueError on a malformed list."""
+    ValueError on a malformed list.
+
+    Each term's monomial is merged one generator at a time, its sign the
+    product of the generators' orientation signs and the merge signs.  A
+    generator with a repeated index ends the term; a repeated generator
+    makes it vanish, but the indices after it are still validated."""
     if not isinstance(data, list):
         raise ValueError("element must be a list of terms")
     acc = SkewPoly.zero(ring)
@@ -265,15 +270,21 @@ def poly_from_json_terms(ring, universe: GeneratorUniverse, data) -> SkewPoly:
             if coeff.denominator != 1:
                 raise ValueError("non-integral coefficient for integral ring")
             coeff = coeff.numerator
-        mono = SkewPoly.one(ring).scale(coeff)
+        mono, sign = (), 1
         for idx in item["monomial"]:
             got = universe.gen_id(tuple(idx))
             if got is None:
-                mono = SkewPoly.zero(ring)
+                mono = None
                 break
-            gid, sign = got
-            mono = mono * SkewPoly.generator(ring, gid, sign)
-        acc = acc + mono
+            if mono is not None:
+                gid, gsign = got
+                prod = mul_monomials(mono, (gid,))
+                if prod is None:
+                    mono = None
+                else:
+                    mono, sign = prod[0], sign * gsign * prod[1]
+        if mono is not None:
+            acc = acc + SkewPoly(ring, {mono: sign * coeff})
     return acc
 
 

@@ -1,4 +1,6 @@
+import json
 import random
+from fractions import Fraction
 from itertools import combinations, permutations
 from math import gcd
 
@@ -324,6 +326,139 @@ def test_normal_form_examples():
     z = p.monomial([(1, 4, 5), (2, 3, 5)]).convert(QQ)
     nf = forest_normal_form(z, p)
     assert nf and all(forests.is_basic(g) for g in nf)
+
+
+def _two_echelon_normal_form(x, p):
+    """Oracle: the earlier query path.  The rational element is reduced in
+    the slice's echelon, then [v | 0] is reduced against the solver's
+    [b_k | e_k] echelon; no cleared denominators, no cached unit residues."""
+    if not x:
+        return {}
+    if not x.is_homogeneous():
+        out = {}
+        for d in sorted(x.degrees()):
+            out.update(_two_echelon_normal_form(x.homogeneous_part(d), p))
+        return out
+    if x.degree() == 0:
+        return {forests.TriangleGraph.make(p.labels, []): x.terms[()]}
+    basics, sl, solver = lambda_alg._certified_basis(p.variant, p.labels,
+                                                     x.degree())
+    target = sl.echelon.reduce({sl.col_of[m]: Fraction(c)
+                                for m, c in x.terms.items()})
+    residue = solver.echelon.reduce({c: Fraction(v) for c, v in target.items()})
+    assert all(c >= solver.offset for c in residue)
+    return {f: -residue[solver.offset + k]
+            for k, (f, _) in enumerate(basics) if solver.offset + k in residue}
+
+
+def _random_element(rng, p, degrees):
+    """A rational element with up to four terms of the given degrees; most
+    monomials take triples that pairwise share at most one label (a shared
+    pair kills the product), with indices in random order."""
+    x = SkewPoly.zero(QQ)
+    for _ in range(rng.randint(1, 4)):
+        d = rng.choice(degrees)
+        mono = []
+        while len(mono) < d:
+            t = rng.sample(p.labels, 3)
+            if rng.random() < 0.1 or all(len(set(t) & set(u)) <= 1 for u in mono):
+                mono.append(t)
+        coeff = Fraction(rng.choice((-3, -2, -1, 1, 2, 3, 5)),
+                         rng.choice((1, 1, 2, 3, 4)))
+        x = x + p.monomial(mono, coeff, ring=QQ)
+    return x
+
+
+def _random_elements(seed, count):
+    rng = random.Random(seed)
+    out = []
+    for variant in ("tri", "twisted"):
+        for n in (5, 6, 7):
+            p = Presentation(variant, range(1, n + 1))
+            for degrees in ((1,), (2,), (3,), (0, 1, 2, 3)):
+                out.extend((p, _random_element(rng, p, degrees))
+                           for _ in range(count))
+    return out
+
+
+def test_normal_form_matches_the_two_echelon_oracle():
+    cases = _random_elements(18, 10)  # 240 elements
+    assert len(cases) >= 200
+    answers = [forest_normal_form(x, p) for p, x in cases]
+    assert answers == [_two_echelon_normal_form(x, p) for p, x in cases]
+    assert sum(1 for nf in answers if nf) >= 150
+    assert any(c.denominator > 1 for nf in answers for c in nf.values())
+    # integer elements take the same path with D = 1
+    for p, x in cases[::7]:
+        z = SkewPoly(ZZ, {m: c.numerator for m, c in x.terms.items()})
+        assert forest_normal_form(z, p) == _two_echelon_normal_form(z, p)
+
+
+def test_normal_form_is_linear():
+    rng = random.Random(7)
+    cases = _random_elements(19, 3)
+    for (p, x), (q, y) in zip(cases, cases[1:]):
+        if p is not q:
+            continue
+        a = Fraction(rng.randint(-5, 5), rng.randint(1, 6))
+        b = Fraction(rng.randint(-5, 5), rng.randint(1, 6))
+        nx, ny = forest_normal_form(x, p), forest_normal_form(y, p)
+        want = {f: a * nx.get(f, 0) + b * ny.get(f, 0) for f in {*nx, *ny}}
+        got = forest_normal_form(x.scale(a) + y.scale(b), p)
+        assert got == {f: c for f, c in want.items() if c}
+
+
+def test_normal_form_does_not_depend_on_query_order():
+    cases = _random_elements(20, 5)
+    forward = [forest_normal_form(x, p) for p, x in cases]
+    lambda_alg._certified_basis.cache_clear()
+    backward = [forest_normal_form(x, p) for p, x in reversed(cases)]
+    assert backward[::-1] == forward
+
+
+def _reduce_report(n, variant, nf):
+    return {"n": n, "variant": variant, "normal_form": [
+        {"monomial": [list(e) for e in g.sorted_edges],
+         "numerator": nf[g].numerator, "denominator": nf[g].denominator}
+        for g in sorted(nf, key=lambda g: g.sorted_edges)]}
+
+
+@pytest.mark.parametrize("variant", ["tri", "twisted"])
+@pytest.mark.parametrize("element", [
+    [{"monomial": [[1, 4, 5], [2, 3, 5]], "numerator": 3, "denominator": 4}],
+    [{"monomial": [[5, 1, 4], [2, 3, 5]], "numerator": -2, "denominator": 3},
+     {"monomial": [[1, 2, 6]], "numerator": 1, "denominator": 6},
+     {"monomial": [], "numerator": 5, "denominator": 2},
+     {"monomial": [[1, 2, 3], [3, 4, 5], [5, 6, 1]], "denominator": 5}],
+    [{"monomial": []}],
+    [{"monomial": [[1, 2, 3], [3, 2, 1]]}, {"monomial": [[2, 4, 6]]}],
+    [{"monomial": [[2, 4, 6]], "numerator": 0}],
+])
+def test_reduce_reports_the_oracle_normal_form(capsys, variant, element):
+    from forestalg.cli import main
+    from forestalg.skewpoly import poly_from_json_terms
+
+    p = Presentation(variant, range(1, 7))
+    x = poly_from_json_terms(QQ, p.universe, element)
+    want = _reduce_report(7, variant, _two_echelon_normal_form(x, p))
+    assert main(["reduce", "--n", "7", "--variant", variant,
+                 "--element", json.dumps(element)]) == 0
+    assert json.loads(capsys.readouterr().out) == want
+
+
+@pytest.mark.parametrize("element", [
+    [{"monomial": [[1, 2, 3], [3, 2, 1], [1, 2, 9]]}],
+    [{"monomial": [[1, 2, 3]], "numerator": 1, "denominator": 0}],
+    [{"monomial": [[1, 2, 7]]}],
+])
+def test_reduce_rejects_bad_probes(capsys, element):
+    from forestalg.cli import main
+
+    for variant in ("tri", "twisted"):
+        assert main(["reduce", "--n", "7", "--variant", variant,
+                     "--element", json.dumps(element)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_whitney_differential():

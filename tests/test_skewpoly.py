@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -149,6 +150,64 @@ def test_json_round_trip():
     data = x.to_json_terms(p.universe)
     back = poly_from_json_terms(ZZ, p.universe, data)
     assert back == x
+
+
+def _product_from_json_terms(ring, universe, data):
+    """Oracle: each term as the product of its generators' SkewPolys."""
+    acc = SkewPoly.zero(ring)
+    for item in data:
+        coeff = Fraction(item.get("numerator", 1), item.get("denominator", 1))
+        mono = SkewPoly.one(ring).scale(coeff if ring is QQ else coeff.numerator)
+        for idx in item["monomial"]:
+            got = universe.gen_id(tuple(idx))
+            if got is None:
+                mono = SkewPoly.zero(ring)
+                break
+            mono = mono * SkewPoly.generator(ring, *got)
+        acc = acc + mono
+    return acc
+
+
+@pytest.mark.parametrize("variant", ["tri", "twisted"])
+def test_json_terms_match_the_product_builder(variant):
+    rng = random.Random(11)
+    universe = Presentation(variant, range(1, 7)).universe
+    for ring in (ZZ, QQ):
+        for _ in range(300):
+            data = []
+            for _ in range(rng.randint(0, 4)):
+                mono = [rng.sample(range(1, 7), 3)
+                        for _ in range(rng.randint(0, 3))]
+                if mono and rng.random() < 0.15:  # a repeated generator
+                    mono.append(rng.sample(mono[0], 3))
+                term = {"monomial": mono,
+                        "numerator": rng.choice((0, -3, -1, 1, 2, 5))}
+                if ring is QQ:
+                    term["denominator"] = rng.choice((1, 2, 3, -4))
+                data.append(term)
+            got = poly_from_json_terms(ring, universe, data)
+            assert got == _product_from_json_terms(ring, universe, data), data
+    # both orders of one generator: the product vanishes
+    for ring in (ZZ, QQ):
+        data = [{"monomial": [[1, 2, 3], [3, 2, 1]]}, {"monomial": []}]
+        assert poly_from_json_terms(ring, universe, data) == SkewPoly.one(ring)
+
+
+def test_json_terms_validation_order():
+    universe = Presentation("tri", range(1, 6)).universe
+    # a repeated generator does not stop the checks of the indices after it
+    with pytest.raises(ValueError, match="label outside"):
+        poly_from_json_terms(QQ, universe,
+                             [{"monomial": [[1, 2, 3], [3, 2, 1], [1, 2, 9]]}])
+    with pytest.raises(ValueError, match="has 2 indices"):
+        poly_from_json_terms(ZZ, universe,
+                             [{"monomial": [[1, 2, 3], [2, 1, 3], [4, 5]]}])
+    # a repeated index ends the term before the next generator is checked
+    for ring in (ZZ, QQ):
+        assert not poly_from_json_terms(
+            ring, universe, [{"monomial": [[1, 1, 2], [1, 2, 9]]}])
+    with pytest.raises(ValueError, match="non-integral"):
+        poly_from_json_terms(ZZ, universe, [{"monomial": [], "denominator": 2}])
 
 
 def test_monomial_merge_sign():
