@@ -36,8 +36,11 @@ def _emit(report: dict, args) -> None:
                 lines.append(f"{key},{value}")
         text = "\n".join(lines)
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:
+            raise ValueError(f"cannot write --out: {exc}") from None
     else:
         print(text)
 
@@ -365,6 +368,15 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _env_jobs() -> int:
+    value = os.environ.get("FORESTALG_JOBS", "1")
+    try:
+        return int(value)
+    except ValueError:
+        raise ValueError(f"FORESTALG_JOBS must be an integer, "
+                         f"got {value!r}") from None
+
+
 def main(argv=None) -> int:
     ap = build_parser()
     try:
@@ -377,11 +389,13 @@ def main(argv=None) -> int:
         args.format = "json"
     if not hasattr(args, "out"):
         args.out = None
-    if not hasattr(args, "jobs"):
-        args.jobs = int(os.environ.get("FORESTALG_JOBS", "1"))
     try:
+        if not hasattr(args, "jobs"):
+            args.jobs = _env_jobs()
         return args.fn(args)
-    except (ValueError, KeyError, json.JSONDecodeError, RuntimeError) as exc:
+    # an OverflowError (a size too large to index) is not an invariant
+    except (ValueError, KeyError, json.JSONDecodeError, RuntimeError,
+            OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (AssertionError, ArithmeticError) as exc:

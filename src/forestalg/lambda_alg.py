@@ -22,7 +22,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, permutations
-from math import lcm
+from math import gcd, lcm
 
 from . import forests
 from .forests import TriangleGraph
@@ -69,13 +69,11 @@ class Presentation:
         return SkewPoly.generator(ring, gid, sign * coeff)
 
     def monomial(self, index_tuples, coeff=1, ring=ZZ) -> SkewPoly:
-        acc = SkewPoly.one(ring).scale(coeff)
-        for idx in index_tuples:
-            acc = acc * self.term(idx, ring=ring)
-        return acc
-
-    def monomial_edges(self, monomial: tuple[int, ...]) -> tuple:
-        return tuple(self.universe.label_tuple(g) for g in monomial)
+        got = self.universe.monomial(index_tuples)
+        if got is None:
+            return SkewPoly.zero(ring)
+        mono, sign = got
+        return SkewPoly(ring, {mono: sign * coeff})
 
     # -- relations ---------------------------------------------------------
 
@@ -89,80 +87,72 @@ class Presentation:
         return [r for r in self.relations() if r.degree() == 2]
 
 
-def _normalize_relation(p: SkewPoly):
-    """Content-reduced, sign-fixed copy plus a hashable dedup key."""
-    if not p:
-        return None
-    from math import gcd
-    g = 0
-    for c in p.terms.values():
-        g = gcd(g, abs(int(c)))
-    lead = min(p.terms)
-    sign = 1 if p.terms[lead] > 0 else -1
-    terms = {m: sign * int(c) // g for m, c in p.terms.items()}
-    q = SkewPoly(ZZ)
-    q.terms = terms
-    return q, tuple(sorted(terms.items()))
-
-
 @lru_cache(maxsize=None)
 def _relations_cached(variant: str, labels: tuple) -> list[SkewPoly]:
-    p = Presentation(variant, labels)
+    """Each relation family as its words: a relation is the sum of the
+    signed monomials of its words (``GeneratorUniverse.monomial``), divided
+    by its content and by the sign of its leading term.  Relations are kept
+    once each, in generation order."""
+    monomial = Presentation(variant, labels).universe.monomial
     seen = set()
     out: list[SkewPoly] = []
 
-    def push(rel: SkewPoly):
-        norm = _normalize_relation(rel)
-        if norm is None:
+    def push(*words):
+        terms: dict[tuple, int] = {}
+        for word in words:
+            got = monomial(word)
+            if got is not None:
+                m, sign = got
+                v = terms.get(m, 0) + sign
+                if v:
+                    terms[m] = v
+                else:
+                    terms.pop(m, None)
+        if not terms:
             return
-        q, key = norm
+        g = gcd(*terms.values())
+        if terms[min(terms)] < 0:
+            g = -g
+        if g != 1:
+            terms = {m: c // g for m, c in terms.items()}
+        key = frozenset(terms.items())
         if key not in seen:
             seen.add(key)
-            out.append(q)
+            rel = SkewPoly(ZZ)
+            rel.terms = terms
+            out.append(rel)
 
     if variant == "quad":
         for five in combinations(labels, 5):
-            i, j, k, l, m = five
-            word = (i, j, k, l, m)
-            rel = SkewPoly.zero(ZZ)
-            for s in range(5):
-                w = word[s:] + word[:s]
-                rel = rel + p.term(w[:4])
-            push(rel)
+            push(*(((five[s:] + five[:s])[:4],) for s in range(5)))
         for base in combinations(labels, 3):
             rest = [x for x in labels if x not in base]
             for l, m in combinations(rest, 2):
-                push(p.term(base + (l,)) * p.term(base + (m,)))
+                push((base + (l,), base + (m,)))
         for six in combinations(labels, 6):
-            for word in permutations(six):
-                i, j, k, l, m, q6 = word
+            for i, j, k, l, m, q in permutations(six):
                 # the relation is invariant under rotating the word by two
                 # places: keep the rotation that comes first in this order
-                if not (i < k and i < m):
-                    continue
-                rel = (p.term((i, j, k, l)) * p.term((l, m, q6, i))
-                       + p.term((k, l, m, q6)) * p.term((q6, i, j, k))
-                       + p.term((m, q6, i, j)) * p.term((j, k, l, m)))
-                push(rel)
+                if i < k and i < m:
+                    push(((i, j, k, l), (l, m, q, i)),
+                         ((k, l, m, q), (q, i, j, k)),
+                         ((m, q, i, j), (j, k, l, m)))
         return out
 
     # tri / twisted: shared-edge vanishing plus the cyclic 5-term family
     for pair in combinations(labels, 2):
         rest = [x for x in labels if x not in pair]
         for k, l in combinations(rest, 2):
-            push(p.term(pair + (k,)) * p.term(pair + (l,)))
+            push((pair + (k,), pair + (l,)))
     for five in combinations(labels, 5):
         # the relation is invariant under rotating the word by one place:
         # keep the rotation starting at the smallest label, the first one
         # in permutation order
-        for rest in permutations(five[1:]):
-            i, j, k, l, m = five[:1] + rest
-            rel = (p.term((i, j, k)) * p.term((k, l, m))
-                   + p.term((j, k, l)) * p.term((l, m, i))
-                   + p.term((k, l, m)) * p.term((m, i, j))
-                   + p.term((l, m, i)) * p.term((i, j, k))
-                   + p.term((m, i, j)) * p.term((j, k, l)))
-            push(rel)
+        i = five[0]
+        for j, k, l, m in permutations(five[1:]):
+            push(((i, j, k), (k, l, m)), ((j, k, l), (l, m, i)),
+                 ((k, l, m), (m, i, j)), ((l, m, i), (i, j, k)),
+                 ((m, i, j), (j, k, l)))
     return out
 
 
@@ -533,15 +523,9 @@ def _certified_basis(variant: str, labels: tuple, degree: int):
     over their normal forms)."""
     p = Presentation(variant, labels)
     sl = _degree_slice(variant, labels, degree)
-    basics = []
-    for f in forests.enumerate_basic_forests(labels, degree):
-        gids = []
-        for e in f.sorted_edges:
-            gid, sign = p.universe.gen_id(e)
-            assert sign == 1
-            gids.append(gid)
-        basics.append((f, tuple(sorted(gids))))
-    basics.sort(key=lambda t: t[1])
+    basics = sorted(((f, p.universe.monomial(f.sorted_edges)[0])
+                     for f in forests.enumerate_basic_forests(labels, degree)),
+                    key=lambda t: t[1])
     try:
         solver = BasisSolver([sl.echelon.reduce({sl.col_of[m]: 1})
                               for _, m in basics])
@@ -613,12 +597,8 @@ def basic_forest_complex_homology(labels) -> dict[int, int]:
     bases: list[list] = []
     index: list[dict] = []
     for e in range(max_e + 1):
-        fs = forests.enumerate_basic_forests(labels, e)
-        monos = []
-        for f in fs:
-            gids = tuple(sorted(p.universe.gen_id(ed)[0] for ed in f.sorted_edges))
-            monos.append(gids)
-        monos.sort()
+        monos = sorted(p.universe.monomial(f.sorted_edges)[0]
+                       for f in forests.enumerate_basic_forests(labels, e))
         bases.append(monos)
         index.append({m: i for i, m in enumerate(monos)})
     boundaries: dict[int, list[dict]] = {}
@@ -627,11 +607,8 @@ def basic_forest_complex_homology(labels) -> dict[int, int]:
         for m in bases[e]:
             img = whitney_differential(SkewPoly(QQ, {m: 1}), p)
             nf = forest_normal_form(img, p)
-            row = {}
-            for f, c in nf.items():
-                gids = tuple(sorted(p.universe.gen_id(ed)[0] for ed in f.sorted_edges))
-                row[index[e - 1][gids]] = c
-            rows.append(row)
+            rows.append({index[e - 1][p.universe.monomial(f.sorted_edges)[0]]: c
+                         for f, c in nf.items()})
         boundaries[e] = rows
     ranks = {}
     from .linalg import field_rank

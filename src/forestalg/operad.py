@@ -326,15 +326,9 @@ def eta_f(f: FiniteMap, x: SkewPoly) -> dict:
 def eta_splitting(f: FiniteMap, fiber_monomials: dict) -> SkewPoly:
     """The section: include each fiber monomial into the source algebra and
     multiply in slot order."""
-    src = Presentation("tri", f.source)
-    acc = SkewPoly.one(ZZ)
-    for t in f.target:
-        pres = Presentation("tri", f.fiber(t))
-        mono = fiber_monomials.get(t, ())
-        for gid in mono:
-            tup = pres.universe.label_tuple(gid)
-            acc = acc * src.term(tup)
-    return acc
+    return Presentation("tri", f.source).monomial(
+        [Presentation("tri", f.fiber(t)).universe.label_tuple(gid)
+         for t in f.target for gid in fiber_monomials.get(t, ())])
 
 
 def eta_split_roundtrip(f: FiniteMap, fiber_monomials: dict) -> bool:
@@ -427,11 +421,8 @@ def jacobi_10term_check() -> dict:
 
     labels = (1, 2, 3, 4, 5)
     pres = Presentation("tri", labels)
-    basis = []
-    for f in enumerate_basic_forests(labels, 2):
-        gids = tuple(sorted(pres.universe.gen_id(e)[0] for e in f.sorted_edges))
-        basis.append(gids)
-    basis.sort()
+    basis = sorted(pres.universe.monomial(f.sorted_edges)[0]
+                   for f in enumerate_basic_forests(labels, 2))
 
     def functional_tree(word):
         a, b, c, d, e = word

@@ -3,7 +3,10 @@
 Generators are indexed by sorted label tuples (triples or quadruples) and are
 odd: they anticommute and square to zero, so monomials are strictly increasing
 tuples of generator ids and products carry the sign of the sorting
-permutation.  Ideal slices realize a homogeneous ideal degree by degree as a
+permutation.  ``GeneratorUniverse.monomial`` is the one place where a word of
+index tuples becomes a signed monomial; the JSON parser, the presentations'
+monomials and relation families, and the forest bases all build theirs
+through it.  Ideal slices realize a homogeneous ideal degree by degree as a
 row space: echelonized over Q, or handed to Smith over Z.
 """
 
@@ -67,6 +70,28 @@ class GeneratorUniverse:
                              f"{list(self.labels)}")
         sign = 1 if self.symmetric else perm_sign(tup)
         return gid, sign
+
+    def monomial(self, index_tuples) -> tuple[tuple[int, ...], int] | None:
+        """(increasing gid tuple, sign) of the product of the generators on
+        index_tuples, in order; None if the product is zero.
+
+        The sign is the product of the generators' orientation signs and
+        the merge signs.  ``gen_id`` checks each tuple in turn: a repeated
+        index ends the product, while a repeated generator makes it vanish
+        but the tuples after it are still checked."""
+        mono, sign = (), 1
+        for idx in index_tuples:
+            got = self.gen_id(idx)
+            if got is None:
+                return None
+            if mono is not None:
+                gid, gsign = got
+                prod = mul_monomials(mono, (gid,))
+                if prod is None:
+                    mono = None
+                else:
+                    mono, sign = prod[0], sign * gsign * prod[1]
+        return None if mono is None else (mono, sign)
 
     def label_tuple(self, gid: int) -> tuple:
         return self.tuples[gid]
@@ -254,15 +279,11 @@ def _check_json_term(item) -> None:
 
 def poly_from_json_terms(ring, universe: GeneratorUniverse, data) -> SkewPoly:
     """Element from a JSON term list (the format of ``to_json_terms``);
-    ValueError on a malformed list.
-
-    Each term's monomial is merged one generator at a time, its sign the
-    product of the generators' orientation signs and the merge signs.  A
-    generator with a repeated index ends the term; a repeated generator
-    makes it vanish, but the indices after it are still validated."""
+    ValueError on a malformed list.  Each term's monomial and sign come from
+    ``universe.monomial``, with its validation order."""
     if not isinstance(data, list):
         raise ValueError("element must be a list of terms")
-    acc = SkewPoly.zero(ring)
+    acc: dict[tuple, object] = {}
     for item in data:
         _check_json_term(item)
         coeff = Fraction(item.get("numerator", 1), item.get("denominator", 1))
@@ -270,22 +291,15 @@ def poly_from_json_terms(ring, universe: GeneratorUniverse, data) -> SkewPoly:
             if coeff.denominator != 1:
                 raise ValueError("non-integral coefficient for integral ring")
             coeff = coeff.numerator
-        mono, sign = (), 1
-        for idx in item["monomial"]:
-            got = universe.gen_id(tuple(idx))
-            if got is None:
-                mono = None
-                break
-            if mono is not None:
-                gid, gsign = got
-                prod = mul_monomials(mono, (gid,))
-                if prod is None:
-                    mono = None
-                else:
-                    mono, sign = prod[0], sign * gsign * prod[1]
-        if mono is not None:
-            acc = acc + SkewPoly(ring, {mono: sign * coeff})
-    return acc
+        got = universe.monomial(item["monomial"])
+        if got is not None:
+            mono, sign = got
+            v = acc.get(mono, 0) + sign * coeff
+            if v:
+                acc[mono] = v
+            else:
+                acc.pop(mono, None)
+    return SkewPoly(ring, acc)
 
 
 def partial_derivation(p: SkewPoly, gid: int) -> SkewPoly:
@@ -339,7 +353,10 @@ class IdealSlice:
         if p.degree() != self.degree:
             raise ValueError(f"degree {p.degree()} element in degree {self.degree} slice")
         row = self.echelon.reduce({self.col_of[m]: c for m, c in p.terms.items()})
-        return SkewPoly(QQ, {self.columns[c]: v for c, v in row.items()})
+        # the residue's entries are exact and nonzero: int or Fraction
+        out = SkewPoly(QQ)
+        out.terms = {self.columns[c]: v for c, v in row.items()}
+        return out
 
     def contains(self, p: SkewPoly) -> bool:
         return not self.reduce(p).terms

@@ -211,7 +211,13 @@ def test_cooperad_check(capsys):
     assert rep["coassociativity_all"] and rep["relation_preservation"]
 
 
-def test_degenerate_input_is_a_usage_error(capsys):
+def test_degenerate_input_is_a_usage_error(capsys, monkeypatch, tmp_path):
+    def assert_usage_error(argv):
+        assert main(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
     for argv in (["keel-count", "--n", "5-3"], ["pairing", "--n", "-2"],
                  ["cooperad-check", "--trials", "-3"],
                  ["poset-homology", "--n", "1"], ["bockstein", "--n", "-3"],
@@ -219,11 +225,15 @@ def test_degenerate_input_is_a_usage_error(capsys):
                  ["keel-count", "--n", "3", "--order", "1"],
                  ["egf", "--order", "1"],
                  ["dual", "--n", "5", "--degree", "-1"],
-                 ["basis", "--n", "5", "--degree", "-1"]):
-        assert main(argv) == 2, argv
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+                 ["basis", "--n", "5", "--degree", "-1"],
+                 # OverflowError is an ArithmeticError, not an invariant
+                 ["hilbert", "--n", "99999999999999999999"],
+                 ["hilbert", "--n", "5",
+                  "--out", str(tmp_path / "missing" / "x.json")]):
+        assert_usage_error(argv)
+    monkeypatch.setenv("FORESTALG_JOBS", "abc")
+    assert_usage_error(["poset-homology", "--n", "5"])
+    monkeypatch.delenv("FORESTALG_JOBS")
     # the smallest sizes with a nontrivial answer still run
     code, out = run(capsys, ["whitney", "--n", "2"])
     assert code == 0 and json.loads(out)["exact"]

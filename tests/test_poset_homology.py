@@ -115,7 +115,7 @@ def test_five_term_image_cancels():
             relation[mono] = relation.get(mono, 0) + c
     total = {}
     for mono, coeff in relation.items():
-        edges = pres.monomial_edges(mono)
+        edges = [pres.universe.label_tuple(g) for g in mono]
         t = TriangleGraph.make(range(1, 6), edges)
         for chain, c in tree_to_cycle(t, p5).items():
             total[chain] = total.get(chain, 0) + coeff * c

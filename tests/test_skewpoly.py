@@ -32,6 +32,59 @@ def test_generator_normalization():
     assert sym.gen_id((3, 1, 2))[1] == 1
 
 
+def _generator_product(universe, word):
+    """Oracle: the word as the product of its generators' SkewPolys; a
+    repeated index ends the product."""
+    acc = SkewPoly.one(ZZ)
+    for idx in word:
+        got = universe.gen_id(idx)
+        if got is None:
+            return SkewPoly.zero(ZZ)
+        acc = acc * SkewPoly.generator(ZZ, *got)
+    return acc
+
+
+@pytest.mark.parametrize("variant", ["quad", "tri", "twisted"])
+def test_universe_monomial_matches_the_generator_product(variant):
+    rng = random.Random(7)
+    universe = Presentation(variant, range(1, 8)).universe
+    arity = universe.arity
+    kinds = {"repeated generator": 0, "repeated index": 0, "nonzero": 0}
+    for _ in range(400):
+        # unsorted index tuples, so orientation and merge signs both occur
+        word = [tuple(rng.sample(range(1, 8), arity))
+                for _ in range(rng.randint(0, 4))]
+        roll = rng.random()
+        if word and roll < 0.2:
+            word.insert(rng.randint(0, len(word)),
+                        tuple(rng.sample(rng.choice(word), arity)))
+        elif word and roll < 0.4:
+            idx = list(rng.choice(word))
+            idx[rng.randrange(arity)] = idx[rng.randrange(arity)]
+            if len(set(idx)) < arity:
+                word.insert(rng.randint(0, len(word)), tuple(idx))
+        got = universe.monomial(word)
+        want = _generator_product(universe, word)
+        repeated = any(len(set(idx)) < arity for idx in word)
+        if got is None:
+            assert not want, word
+            kinds["repeated index" if repeated else "repeated generator"] += 1
+        else:
+            mono, sign = got
+            assert list(mono) == sorted(set(mono)) and len(mono) == len(word)
+            assert want == SkewPoly(ZZ, {mono: sign}), word
+            kinds["nonzero"] += 1
+        # a bad label after a repeated generator is still checked; after a
+        # repeated index it is not
+        bad = (0,) + tuple(range(1, arity))
+        if repeated:
+            assert universe.monomial(word + [bad]) is None
+        else:
+            with pytest.raises(ValueError, match="label outside"):
+                universe.monomial(word + [bad])
+    assert all(count >= 20 for count in kinds.values()), kinds
+
+
 def test_product_examples():
     p = Presentation("tri", range(1, 6))
     nu123 = p.term((1, 2, 3))
