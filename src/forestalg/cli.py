@@ -2,8 +2,10 @@
 machine-readable output.
 
 Exit codes: 0 all asserted invariants hold, 1 an invariant failed, 2 usage
-error.  Identical configuration produces byte-identical JSON.  Elements are
-entered as JSON term lists; no parser beyond JSON.
+error, 3 resources exhausted (a MemoryError or RecursionError: the size is
+beyond this process, which proves nothing about the invariants).  Identical
+configuration produces byte-identical JSON.  Elements are entered as JSON
+term lists; no parser beyond JSON.
 """
 
 from __future__ import annotations
@@ -393,6 +395,12 @@ def main(argv=None) -> int:
         if not hasattr(args, "jobs"):
             args.jobs = _env_jobs()
         return args.fn(args)
+    # checked first: a RecursionError is also a RuntimeError
+    except (MemoryError, RecursionError) as exc:
+        detail = f": {exc}" if str(exc) else ""
+        print(f"error: resource exhausted: {type(exc).__name__}{detail}",
+              file=sys.stderr)
+        return 3
     # an OverflowError (a size too large to index) is not an invariant
     except (ValueError, KeyError, json.JSONDecodeError, RuntimeError,
             OverflowError) as exc:

@@ -519,8 +519,9 @@ def degree_slice(p: Presentation, degree: int):
 def _certified_basis(variant: str, labels: tuple, degree: int):
     """Certify that basic-forest monomials are a quotient basis in this
     degree: their normal forms are independent and counted by the quotient
-    dimension.  Returns (basic monomials, slice, and the coordinate solver
-    over their normal forms)."""
+    dimension.  Returns (basic monomials, slice, the coordinate solver over
+    their normal forms, and the per-monomial memo of ``forest_normal_form``,
+    empty until queries fill it)."""
     p = Presentation(variant, labels)
     sl = _degree_slice(variant, labels, degree)
     basics = sorted(((f, p.universe.monomial(f.sorted_edges)[0])
@@ -537,17 +538,32 @@ def _certified_basis(variant: str, labels: tuple, degree: int):
         raise AssertionError(
             f"basic count {len(basics)} != quotient dimension "
             f"{sl.quotient_dimension()} ({variant}, {len(labels)} labels, degree {degree})")
-    return basics, sl, solver
+    return basics, sl, solver, {}
+
+
+def _monomial_coordinates(m: tuple, sl, solver) -> tuple:
+    """Nonzero (basis index, value) pairs of the normal form of the
+    monomial m: its slice residue solved over the basic-forest basis."""
+    residue = sl.reduce(SkewPoly(ZZ, {m: 1}))
+    coords = solver.coordinates({sl.col_of[r]: c
+                                 for r, c in residue.terms.items()})
+    if coords is None:
+        raise AssertionError("normal form escaped the basic-forest span")
+    return tuple((k, c) for k, c in enumerate(coords) if c)
 
 
 def forest_normal_form(x: SkewPoly, p: Presentation) -> dict[TriangleGraph, object]:
     """Coordinates of x over the certified basic-forest monomial basis.
 
-    Slice reduction and the coordinate solve are both linear, so with D the
-    lcm of x's coefficient denominators, the coordinates of x are those of
-    the integer element D x divided by D.  Denominators are cleared once
-    here, and the reduction and the solve run on integers wherever the
-    slice's pivots and the basis inverse are integral.
+    Slice reduction and the coordinate solve are both linear, so the
+    coordinates of x are the sum over its monomials m of c_m times those of
+    m alone.  Each monomial's coordinates are exact and depend only on m and
+    the certified basis, so they are computed once, on first use, and kept
+    in a memo that lives in the ``_certified_basis`` cache entry of their
+    degree (cleared with it, and bounded by the slice's column count); an
+    answer does not depend on which queries came before.  With D the lcm of
+    x's coefficient denominators, the integer coefficients D c_m weight the
+    sum, which is divided by D once at the end.
     """
     if p.variant == "quad":
         raise ValueError("forest normal forms apply to 3-index variants")
@@ -561,19 +577,18 @@ def forest_normal_form(x: SkewPoly, p: Presentation) -> dict[TriangleGraph, obje
     d = x.degree()
     if d == 0:
         return {TriangleGraph.make(p.labels, []): x.terms[()]}
-    basics, sl, solver = _certified_basis(p.variant, p.labels, d)
+    basics, sl, solver, memo = _certified_basis(p.variant, p.labels, d)
     den = lcm(*(c.denominator for c in x.terms.values()))
-    target = sl.reduce(SkewPoly(ZZ, {m: c.numerator * (den // c.denominator)
-                                     for m, c in x.terms.items()}))
-    vec = {sl.col_of[m]: c for m, c in target.terms.items()}
-    coords = solver.coordinates(vec)
-    if coords is None:
-        raise AssertionError("normal form escaped the basic-forest span")
-    out = {}
-    for (f, _), c in zip(basics, coords):
-        if c:
-            out[f] = c if den == 1 else _rational(Fraction(c, den))
-    return out
+    acc: dict[int, object] = {}
+    for m, c in x.terms.items():
+        pairs = memo.get(m)
+        if pairs is None:
+            pairs = memo[m] = _monomial_coordinates(m, sl, solver)
+        a = c.numerator * (den // c.denominator)
+        for k, w in pairs:
+            acc[k] = acc.get(k, 0) + a * w
+    return {basics[k][0]: _rational(v if den == 1 else Fraction(v, den))
+            for k, v in sorted(acc.items()) if v}
 
 
 # ---------------------------------------------------------------------------

@@ -380,7 +380,10 @@ class BasisSolver:
     unit residue is computed once, on first use, and kept exactly: its part
     on the basis columns (only when nonempty) and its coordinate part as
     (basis index, value) pairs.  A query is then one sparse sum, and its
-    answer does not depend on which columns earlier queries met.
+    answer does not depend on which columns earlier queries met.  This unit
+    memo lives on the solver, so it goes with the ``_certified_basis`` cache
+    entry that holds the solver; ``lambda_alg.forest_normal_form`` keeps its
+    per-monomial coordinates, built from these, in the same entry.
     """
 
     def __init__(self, basis: list[dict]):

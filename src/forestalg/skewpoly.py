@@ -49,6 +49,7 @@ class GeneratorUniverse:
         self.symmetric = symmetric
         self.tuples: list[tuple] = list(combinations(self.labels, arity))
         self.index: dict[tuple, int] = {t: i for i, t in enumerate(self.tuples)}
+        self._oriented: dict[tuple, tuple[int, int]] = {}  # see gen_id
 
     def __len__(self) -> int:
         return len(self.tuples)
@@ -56,8 +57,17 @@ class GeneratorUniverse:
     def gen_id(self, indices) -> tuple[int, int] | None:
         """(generator id, sign) for possibly unsorted indices; None if
         repeated.  ValueError for the wrong number of indices or a label
-        outside the universe."""
+        outside the universe.
+
+        Each validated index tuple's answer is kept in this universe's
+        ``_oriented`` memo, filled on first use; it depends only on the
+        tuple, so answers do not depend on the order of calls.  Tuples that
+        raise or give None are never stored, so they are checked afresh,
+        in the same order, every time."""
         tup = tuple(indices)
+        got = self._oriented.get(tup)
+        if got is not None:
+            return got
         if len(tup) != self.arity:
             raise ValueError(f"generator {list(tup)} has {len(tup)} indices, "
                              f"expected {self.arity}")
@@ -69,7 +79,8 @@ class GeneratorUniverse:
             raise ValueError(f"generator {list(tup)} has a label outside "
                              f"{list(self.labels)}")
         sign = 1 if self.symmetric else perm_sign(tup)
-        return gid, sign
+        got = self._oriented[tup] = (gid, sign)
+        return got
 
     def monomial(self, index_tuples) -> tuple[tuple[int, ...], int] | None:
         """(increasing gid tuple, sign) of the product of the generators on

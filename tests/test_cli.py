@@ -286,3 +286,20 @@ def test_reports_do_not_depend_on_cache_state(capsys):
     assert keel.hbeta_connected_block.cache_info().currsize == 0
     assert lambda_alg.block_dimension.cache_info().currsize == 0
     assert reports(reversed(argvs)) == first
+
+
+def test_resource_exhaustion_is_its_own_exit_code(capsys, monkeypatch):
+    def out_of_memory(n, twisted=False):
+        raise MemoryError()
+
+    def too_deep(n):
+        raise RecursionError("maximum recursion depth exceeded")
+
+    monkeypatch.setattr(keel, "bockstein_cohomology", out_of_memory)
+    monkeypatch.setattr(keel, "canonical_count_report", too_deep)
+    assert main(["bockstein", "--n", "5"]) == 3
+    assert capsys.readouterr().err == "error: resource exhausted: MemoryError\n"
+    # a RecursionError is a RuntimeError, yet not a usage error
+    assert main(["keel-count", "--n", "4"]) == 3
+    assert capsys.readouterr().err == ("error: resource exhausted: RecursionError: "
+                                       "maximum recursion depth exceeded\n")

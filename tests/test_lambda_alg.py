@@ -341,8 +341,8 @@ def _two_echelon_normal_form(x, p):
         return out
     if x.degree() == 0:
         return {forests.TriangleGraph.make(p.labels, []): x.terms[()]}
-    basics, sl, solver = lambda_alg._certified_basis(p.variant, p.labels,
-                                                     x.degree())
+    basics, sl, solver, _ = lambda_alg._certified_basis(p.variant, p.labels,
+                                                        x.degree())
     target = sl.echelon.reduce({sl.col_of[m]: Fraction(c)
                                 for m, c in x.terms.items()})
     residue = solver.echelon.reduce({c: Fraction(v) for c, v in target.items()})
@@ -384,8 +384,11 @@ def _random_elements(seed, count):
 def test_normal_form_matches_the_two_echelon_oracle():
     cases = _random_elements(18, 10)  # 240 elements
     assert len(cases) >= 200
+    lambda_alg._certified_basis.cache_clear()
     answers = [forest_normal_form(x, p) for p, x in cases]
     assert answers == [_two_echelon_normal_form(x, p) for p, x in cases]
+    # warm: every monomial's coordinates now come from the memo
+    assert [forest_normal_form(x, p) for p, x in cases] == answers
     assert sum(1 for nf in answers if nf) >= 150
     assert any(c.denominator > 1 for nf in answers for c in nf.values())
     # integer elements take the same path with D = 1
@@ -411,9 +414,44 @@ def test_normal_form_is_linear():
 def test_normal_form_does_not_depend_on_query_order():
     cases = _random_elements(20, 5)
     forward = [forest_normal_form(x, p) for p, x in cases]
+    p = cases[-1][0]
+    assert lambda_alg._certified_basis(p.variant, p.labels, 3)[3]
     lambda_alg._certified_basis.cache_clear()
+    # the per-monomial memo went with the cache entry that holds it
+    assert lambda_alg._certified_basis(p.variant, p.labels, 3)[3] == {}
     backward = [forest_normal_form(x, p) for p, x in reversed(cases)]
     assert backward[::-1] == forward
+
+
+def test_memo_entry_filled_inside_a_sum_answers_alone():
+    p = Presentation("tri", range(1, 8))
+    lambda_alg._certified_basis.cache_clear()
+    x = (p.monomial([(1, 4, 5), (2, 3, 5)], Fraction(2, 3), ring=QQ)
+         + p.monomial([(1, 2, 3), (3, 4, 5)], -1, ring=QQ)
+         + p.monomial([(2, 3, 4), (2, 4, 5)], 5, ring=QQ)   # a cycle: zero
+         + p.monomial([(6, 1, 2), (7, 3, 5)], Fraction(1, 4), ring=QQ))
+    assert forest_normal_form(x, p) == _two_echelon_normal_form(x, p)
+    memo = lambda_alg._certified_basis(p.variant, p.labels, 2)[3]
+    assert set(memo) == set(x.terms)
+    assert () in memo.values()  # the cycle's entry is stored, and empty
+    for m in x.terms:
+        alone = SkewPoly(QQ, {m: Fraction(1)})
+        assert forest_normal_form(alone, p) == _two_echelon_normal_form(alone, p)
+    assert set(memo) == set(x.terms)
+
+
+def test_normal_form_outside_the_span_raises_and_stores_nothing(monkeypatch):
+    p = Presentation("twisted", range(1, 7))
+    lambda_alg._certified_basis.cache_clear()
+    _, _, solver, memo = lambda_alg._certified_basis(p.variant, p.labels, 2)
+    monkeypatch.setattr(solver, "coordinates", lambda vector: None)
+    x = p.monomial([(1, 4, 5), (2, 3, 5)], ring=QQ)
+    for _ in range(2):
+        with pytest.raises(AssertionError, match="escaped the basic-forest"):
+            forest_normal_form(x, p)
+        assert memo == {}
+    monkeypatch.undo()
+    assert forest_normal_form(x, p) == _two_echelon_normal_form(x, p)
 
 
 def _reduce_report(n, variant, nf):

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 
@@ -7,8 +8,8 @@ from forestalg.lambda_alg import Presentation
 from forestalg.rings import QQ, ZZ, RingMismatchError
 from forestalg.skewpoly import (GeneratorUniverse, SkewPoly, ideal_slice,
                                 mul_monomials, partial_derivation,
-                                poly_from_json_terms, quotient_dimension,
-                                slice_rows)
+                                perm_sign, poly_from_json_terms,
+                                quotient_dimension, slice_rows)
 
 
 def _rand_poly(rng, universe, ring, max_terms=3, max_deg=2):
@@ -32,6 +33,29 @@ def test_generator_normalization():
     assert sym.gen_id((3, 1, 2))[1] == 1
 
 
+@pytest.mark.parametrize("symmetric", [False, True])
+def test_gen_id_memo_gives_the_checked_answer(symmetric):
+    u = GeneratorUniverse(range(1, 7), 3, symmetric=symmetric)
+    for _ in ("cold", "warm"):
+        for t in u.tuples:
+            for idx in permutations(t):
+                want = 1 if symmetric else perm_sign(idx)
+                assert u.gen_id(idx) == (u.index[t], want)
+                assert u.gen_id(list(idx)) == (u.index[t], want)
+    assert len(u._oriented) == 6 * len(u.tuples)
+    # after warm-up, bad tuples still raise or vanish, and are never stored
+    for _ in range(2):
+        with pytest.raises(ValueError, match="has 2 indices, expected 3"):
+            u.gen_id((1, 2))
+        with pytest.raises(ValueError, match="has 4 indices, expected 3"):
+            u.gen_id((1, 2, 3, 4))
+        with pytest.raises(ValueError, match="label outside"):
+            u.gen_id((1, 2, 7))
+        assert u.gen_id((1, 2, 1)) is None
+        assert u.gen_id((3, 3, 3)) is None
+    assert len(u._oriented) == 6 * len(u.tuples)
+
+
 def _generator_product(universe, word):
     """Oracle: the word as the product of its generators' SkewPolys; a
     repeated index ends the product."""
@@ -46,8 +70,21 @@ def _generator_product(universe, word):
 
 @pytest.mark.parametrize("variant", ["quad", "tri", "twisted"])
 def test_universe_monomial_matches_the_generator_product(variant):
-    rng = random.Random(7)
+    _check_monomials_against_the_generator_product(
+        Presentation(variant, range(1, 8)).universe)
+
+
+@pytest.mark.parametrize("variant", ["quad", "tri", "twisted"])
+def test_warm_universe_monomial_matches_the_generator_product(variant):
     universe = Presentation(variant, range(1, 8)).universe
+    for t in universe.tuples:  # every oriented tuple in the gen_id memo
+        for idx in permutations(t):
+            universe.gen_id(idx)
+    _check_monomials_against_the_generator_product(universe)
+
+
+def _check_monomials_against_the_generator_product(universe):
+    rng = random.Random(7)
     arity = universe.arity
     kinds = {"repeated generator": 0, "repeated index": 0, "nonzero": 0}
     for _ in range(400):
