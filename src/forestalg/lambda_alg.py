@@ -26,7 +26,7 @@ from math import gcd, lcm
 
 from . import forests
 from .forests import TriangleGraph
-from .linalg import BasisSolver, _rational, same_rational_span, smith_divisors
+from .linalg import same_rational_span, smith_divisors
 from .poset_homology import _boundary
 from .rings import QQ, ZZ
 from .series import assemble_reachable, odd_square_product_poly
@@ -505,61 +505,72 @@ def quad_to_tri(x: SkewPoly, quad: Presentation, tri: Presentation) -> SkewPoly:
 
 
 @lru_cache(maxsize=None)
+def _basic_forests(variant: str, labels: tuple, degree: int) -> dict:
+    """{monomial: basic forest} over the basic forests of this degree, in
+    increasing monomial order."""
+    universe = Presentation(variant, labels).universe
+    return dict(sorted((universe.monomial(f.sorted_edges)[0], f)
+                       for f in forests.enumerate_basic_forests(labels, degree)))
+
+
+@lru_cache(maxsize=None)
 def _degree_slice(variant: str, labels: tuple, degree: int):
     p = Presentation(variant, labels)
-    return ideal_slice(p.relations(), degree, p.universe)
+    if variant == "quad":
+        return ideal_slice(p.relations(), degree, p.universe)
+    basics = _basic_forests(variant, labels, degree)
+    columns = [m for m in p.universe.monomials(degree) if m not in basics]
+    return ideal_slice(p.relations(), degree, p.universe, columns + [*basics])
 
 
 def degree_slice(p: Presentation, degree: int):
-    """The degree slice over Q of the relation ideal of p (cached)."""
+    """The degree slice over Q of the relation ideal of p (cached).  For the
+    3-index variants its columns are the other monomials in increasing
+    order, then the basic-forest monomials in increasing order."""
     return _degree_slice(p.variant, p.labels, degree)
 
 
 @lru_cache(maxsize=None)
 def _certified_basis(variant: str, labels: tuple, degree: int):
-    """Certify that basic-forest monomials are a quotient basis in this
-    degree: their normal forms are independent and counted by the quotient
-    dimension.  Returns (basic monomials, slice, the coordinate solver over
-    their normal forms, and the per-monomial memo of ``forest_normal_form``,
-    empty until queries fill it)."""
-    p = Presentation(variant, labels)
+    """Certify that the basic-forest monomials B are a quotient basis in this
+    degree: B is exactly the set of free (non-pivot) columns of the degree
+    slice, whose columns put B last.
+
+    Lemma.  ``FieldEchelon`` leads each pivot row at its smallest column,
+    so the smallest column of a nonzero vector of the row space is a pivot
+    column, and a residue lies on the free columns.  Every monomial is
+    congruent to its residue, and the free columns number the quotient
+    dimension, so they always form a quotient basis.  With B last:
+    - if B is a quotient basis, each earlier column c is congruent to a
+      combination of B, all later than c, so the ideal holds a vector whose
+      smallest column is c, and c is a pivot column;
+    - a column of B is a pivot column only if its pivot row, which lies on B
+      alone, is a dependence of B modulo the ideal.
+    So the free columns are B exactly when B is a quotient basis, and then
+    a monomial's slice residue is its coordinates over B.
+
+    Returns ({basic monomial: forest}, slice, the per-monomial memo of
+    ``forest_normal_form``, empty until queries fill it)."""
+    basics = _basic_forests(variant, labels, degree)
     sl = _degree_slice(variant, labels, degree)
-    basics = sorted(((f, p.universe.monomial(f.sorted_edges)[0])
-                     for f in forests.enumerate_basic_forests(labels, degree)),
-                    key=lambda t: t[1])
-    try:
-        solver = BasisSolver([sl.echelon.reduce({sl.col_of[m]: 1})
-                              for _, m in basics])
-    except ValueError:
+    pivots = sl.echelon.pivots
+    if {m for m, c in sl.col_of.items() if c not in pivots} != basics.keys():
         raise AssertionError(
-            f"basic monomials dependent modulo the ideal ({variant}, "
-            f"{len(labels)} labels, degree {degree})") from None
-    if len(basics) != sl.quotient_dimension():
-        raise AssertionError(
-            f"basic count {len(basics)} != quotient dimension "
-            f"{sl.quotient_dimension()} ({variant}, {len(labels)} labels, degree {degree})")
-    return basics, sl, solver, {}
-
-
-def _monomial_coordinates(m: tuple, sl, solver) -> tuple:
-    """Nonzero (basis index, value) pairs of the normal form of the
-    monomial m: its slice residue solved over the basic-forest basis."""
-    residue = sl.reduce(SkewPoly(ZZ, {m: 1}))
-    coords = solver.coordinates({sl.col_of[r]: c
-                                 for r, c in residue.terms.items()})
-    if coords is None:
-        raise AssertionError("normal form escaped the basic-forest span")
-    return tuple((k, c) for k, c in enumerate(coords) if c)
+            f"free slice columns are not the basic monomials ({variant}, "
+            f"{len(labels)} labels, degree {degree}: {len(basics)} basic, "
+            f"quotient dimension {sl.quotient_dimension()})")
+    return basics, sl, {}
 
 
 def forest_normal_form(x: SkewPoly, p: Presentation) -> dict[TriangleGraph, object]:
     """Coordinates of x over the certified basic-forest monomial basis.
 
-    Slice reduction and the coordinate solve are both linear, so the
-    coordinates of x are the sum over its monomials m of c_m times those of
-    m alone.  Each monomial's coordinates are exact and depend only on m and
-    the certified basis, so they are computed once, on first use, and kept
-    in a memo that lives in the ``_certified_basis`` cache entry of their
+    The basic monomials are the free columns of the degree slice, so the
+    slice residue of x is its coordinates.  Reduction is linear: the
+    coordinates of x are the sum over its monomials m of c_m times the
+    residue of m alone.  Each monomial's residue is exact and depends only on
+    m and the certified basis, so it is computed once, on first use, and
+    kept in a memo that lives in the ``_certified_basis`` cache entry of its
     degree (cleared with it, and bounded by the slice's column count); an
     answer does not depend on which queries came before.  With D the lcm of
     x's coefficient denominators, the integer coefficients D c_m weight the
@@ -577,18 +588,26 @@ def forest_normal_form(x: SkewPoly, p: Presentation) -> dict[TriangleGraph, obje
     d = x.degree()
     if d == 0:
         return {TriangleGraph.make(p.labels, []): x.terms[()]}
-    basics, sl, solver, memo = _certified_basis(p.variant, p.labels, d)
+    basics, sl, memo = _certified_basis(p.variant, p.labels, d)
     den = lcm(*(c.denominator for c in x.terms.values()))
     acc: dict[int, object] = {}
     for m, c in x.terms.items():
         pairs = memo.get(m)
         if pairs is None:
-            pairs = memo[m] = _monomial_coordinates(m, sl, solver)
+            pairs = memo[m] = tuple(
+                sl.echelon.reduce({sl.col_of[m]: 1}).items())
         a = c.numerator * (den // c.denominator)
         for k, w in pairs:
             acc[k] = acc.get(k, 0) + a * w
-    return {basics[k][0]: _rational(v if den == 1 else Fraction(v, den))
-            for k, v in sorted(acc.items()) if v}
+    out = {}
+    for k, v in sorted(acc.items()):
+        if v:
+            if den != 1 or type(v) is not int:
+                v = Fraction(v, den)  # built once; an int when integral
+                if v.denominator == 1:
+                    v = v.numerator
+            out[basics[sl.columns[k]]] = v
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -612,8 +631,7 @@ def basic_forest_complex_homology(labels) -> dict[int, int]:
     bases: list[list] = []
     index: list[dict] = []
     for e in range(max_e + 1):
-        monos = sorted(p.universe.monomial(f.sorted_edges)[0]
-                       for f in forests.enumerate_basic_forests(labels, e))
+        monos = list(_basic_forests(p.variant, labels, e))
         bases.append(monos)
         index.append({m: i for i, m in enumerate(monos)})
     boundaries: dict[int, list[dict]] = {}

@@ -5,9 +5,9 @@ callers intern their column labels (``FieldEchelon`` also takes any totally
 ordered keys, such as the monomial tuples of one degree).  There are three
 kernels:
 
-- ``FieldEchelon``, over Q, behind every ideal slice, every field rank, the
-  span certificate ``same_rational_span`` and, in ``BasisSolver``, the
-  unit residues that every coordinate solve in a certified basis sums;
+- ``FieldEchelon``, over Q, behind every ideal slice (whose residues are
+  the coordinates over a certified basis), every field rank and the span
+  certificate ``same_rational_span``;
 - ``_eliminate``, the unit-first unimodular elimination behind the Smith
   divisors and the integer kernels; every fact over Z (freeness, lattice
   equality, membership) is read off Smith divisors;
@@ -366,61 +366,3 @@ def kernel_basis_fast(rows: list[dict]) -> list[dict]:
     unit-first elimination run with transform tracking."""
     return _eliminate(rows, track=True)[1]
 
-
-class BasisSolver:
-    """Coordinates over Q in a fixed independent row basis.
-
-    One ``FieldEchelon`` holds the rows [b_k | e_k], the identity block
-    placed past every basis column.  The basis is independent exactly when
-    no pivot lead falls in that block, and a vector v lies in its span
-    exactly when [v | 0] reduces to [0 | -coordinates].
-
-    Reduction is linear, so the residue of [v | 0] is the sum over v's
-    columns c of v_c times the residue of the unit vector [e_c | 0].  Each
-    unit residue is computed once, on first use, and kept exactly: its part
-    on the basis columns (only when nonempty) and its coordinate part as
-    (basis index, value) pairs.  A query is then one sparse sum, and its
-    answer does not depend on which columns earlier queries met.  This unit
-    memo lives on the solver, so it goes with the ``_certified_basis`` cache
-    entry that holds the solver; ``lambda_alg.forest_normal_form`` keeps its
-    per-monomial coordinates, built from these, in the same entry.
-    """
-
-    def __init__(self, basis: list[dict]):
-        self.nbasis = len(basis)
-        self.offset = 1 + max((c for b in basis for c in b), default=-1)
-        self.echelon = FieldEchelon()
-        for k, b in enumerate(basis):
-            self.echelon.add({**b, self.offset + k: 1})
-        if any(lead >= self.offset for lead in self.echelon.pivots):
-            raise ValueError("basis rows are linearly dependent")
-        self._units: dict[int, tuple] = {}  # column -> (rest or None, pairs)
-
-    def _unit(self, c: int) -> tuple:
-        got = self._units.get(c)
-        if got is None:
-            offset = self.offset
-            residue = self.echelon.reduce({c: 1})
-            rest = {k: w for k, w in residue.items() if k < offset}
-            got = self._units[c] = (rest or None, tuple(
-                (k - offset, -w) for k, w in residue.items() if k >= offset))
-        return got
-
-    def coordinates(self, vector: dict) -> list | None:
-        if any(c >= self.offset for c, v in vector.items() if v):
-            return None
-        coords = [0] * self.nbasis
-        rest: dict = {}
-        for c, v in vector.items():
-            if not v:
-                continue
-            v = _rational(v)
-            unit_rest, unit_coords = self._unit(c)
-            for k, w in unit_coords:
-                coords[k] += v * w
-            if unit_rest is not None:
-                for k, w in unit_rest.items():
-                    rest[k] = rest.get(k, 0) + v * w
-        if any(rest.values()):
-            return None
-        return coords

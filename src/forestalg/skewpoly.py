@@ -390,10 +390,13 @@ def slice_rows(relations: list[SkewPoly], degree: int,
     integer rows.  ``products`` lists the rows as (index into relations,
     multiplier monomial) pairs, in the order they are yielded; by default
     every relation times every multiplier of complementary degree, relation
-    by relation.  ``columns`` restricts to a partition block, given as its
-    monomials in increasing order: rows with no term in the block are
-    skipped, and a row with terms on both sides raises (relations here are
-    partition-homogeneous).  Both default to the full slice.
+    by relation.  ``columns`` is an ordered list of monomials, and column i
+    is its i-th entry, so the list sets the elimination order of a slice
+    (the smallest index leads); it need not be increasing.  It may be the
+    full slice in another order, or restrict to a partition block: rows with
+    no term in the list are skipped, and a row with terms on both sides
+    raises (relations here are partition-homogeneous).  Both default to the
+    full slice, with columns in increasing order.
     """
     for r in relations:
         if not r.is_homogeneous():
@@ -438,7 +441,9 @@ def ideal_slice(relations: list[SkewPoly], degree: int,
                 products=None) -> IdealSlice:
     """The degree-d slice of the two-sided ideal, echelonized over Q.
     Relations are over Z or Q; ``columns`` and ``products`` are as in
-    ``slice_rows``, whose rows enter the echelon one at a time."""
+    ``slice_rows``, whose rows enter the echelon one at a time.  The order
+    of ``columns`` is the elimination order: each pivot leads at its
+    earliest column, and a residue lies on the free (non-pivot) columns."""
     columns, rows = slice_rows(relations, degree, universe, QQ, columns,
                                products)
     echelon = FieldEchelon()

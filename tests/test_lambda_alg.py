@@ -1,8 +1,13 @@
 import json
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations, permutations
 from math import gcd
+from pathlib import Path
 
 import pytest
 
@@ -328,10 +333,28 @@ def test_normal_form_examples():
     assert nf and all(forests.is_basic(g) for g in nf)
 
 
+@lru_cache(maxsize=None)
+def _two_echelon_basis(variant, labels, degree):
+    """The oracle's data: the basic forests in increasing monomial order, the
+    degree slice with its columns in natural (increasing) order, and the
+    echelon of the rows [b_k | e_k], b_k the k-th basic monomial's residue
+    in that slice and e_k a unit column past every slice column."""
+    p = Presentation(variant, labels)
+    sl = ideal_slice(p.relations(), degree, p.universe)
+    basics = sorted((p.universe.monomial(f.sorted_edges)[0], f)
+                    for f in forests.enumerate_basic_forests(labels, degree))
+    offset = len(sl.columns)
+    solver = FieldEchelon()
+    for k, (m, _) in enumerate(basics):
+        solver.add({**sl.echelon.reduce({sl.col_of[m]: 1}), offset + k: 1})
+    assert all(lead < offset for lead in solver.pivots)  # independent
+    return [f for _, f in basics], sl, solver, offset
+
+
 def _two_echelon_normal_form(x, p):
-    """Oracle: the earlier query path.  The rational element is reduced in
-    the slice's echelon, then [v | 0] is reduced against the solver's
-    [b_k | e_k] echelon; no cleared denominators, no cached unit residues."""
+    """Oracle: the earlier query path.  The rational element is reduced in a
+    natural-order slice's echelon, then [v | 0] is reduced against the
+    [b_k | e_k] echelon; no cleared denominators, no memo."""
     if not x:
         return {}
     if not x.is_homogeneous():
@@ -341,14 +364,14 @@ def _two_echelon_normal_form(x, p):
         return out
     if x.degree() == 0:
         return {forests.TriangleGraph.make(p.labels, []): x.terms[()]}
-    basics, sl, solver, _ = lambda_alg._certified_basis(p.variant, p.labels,
-                                                        x.degree())
+    basics, sl, solver, offset = _two_echelon_basis(p.variant, p.labels,
+                                                    x.degree())
     target = sl.echelon.reduce({sl.col_of[m]: Fraction(c)
                                 for m, c in x.terms.items()})
-    residue = solver.echelon.reduce({c: Fraction(v) for c, v in target.items()})
-    assert all(c >= solver.offset for c in residue)
-    return {f: -residue[solver.offset + k]
-            for k, (f, _) in enumerate(basics) if solver.offset + k in residue}
+    residue = solver.reduce({c: Fraction(v) for c, v in target.items()})
+    assert all(c >= offset for c in residue)
+    return {f: -residue[offset + k]
+            for k, f in enumerate(basics) if offset + k in residue}
 
 
 def _random_element(rng, p, degrees):
@@ -415,10 +438,10 @@ def test_normal_form_does_not_depend_on_query_order():
     cases = _random_elements(20, 5)
     forward = [forest_normal_form(x, p) for p, x in cases]
     p = cases[-1][0]
-    assert lambda_alg._certified_basis(p.variant, p.labels, 3)[3]
+    assert lambda_alg._certified_basis(p.variant, p.labels, 3)[2]
     lambda_alg._certified_basis.cache_clear()
     # the per-monomial memo went with the cache entry that holds it
-    assert lambda_alg._certified_basis(p.variant, p.labels, 3)[3] == {}
+    assert lambda_alg._certified_basis(p.variant, p.labels, 3)[2] == {}
     backward = [forest_normal_form(x, p) for p, x in reversed(cases)]
     assert backward[::-1] == forward
 
@@ -431,7 +454,7 @@ def test_memo_entry_filled_inside_a_sum_answers_alone():
          + p.monomial([(2, 3, 4), (2, 4, 5)], 5, ring=QQ)   # a cycle: zero
          + p.monomial([(6, 1, 2), (7, 3, 5)], Fraction(1, 4), ring=QQ))
     assert forest_normal_form(x, p) == _two_echelon_normal_form(x, p)
-    memo = lambda_alg._certified_basis(p.variant, p.labels, 2)[3]
+    memo = lambda_alg._certified_basis(p.variant, p.labels, 2)[2]
     assert set(memo) == set(x.terms)
     assert () in memo.values()  # the cycle's entry is stored, and empty
     for m in x.terms:
@@ -441,17 +464,63 @@ def test_memo_entry_filled_inside_a_sum_answers_alone():
 
 
 def test_normal_form_outside_the_span_raises_and_stores_nothing(monkeypatch):
+    """With one basic forest dropped, its monomial is a free slice column
+    outside the claimed basis: the certificate fails on every query, and no
+    cache entry (so no memo) is stored."""
     p = Presentation("twisted", range(1, 7))
-    lambda_alg._certified_basis.cache_clear()
-    _, _, solver, memo = lambda_alg._certified_basis(p.variant, p.labels, 2)
-    monkeypatch.setattr(solver, "coordinates", lambda vector: None)
     x = p.monomial([(1, 4, 5), (2, 3, 5)], ring=QQ)
-    for _ in range(2):
-        with pytest.raises(AssertionError, match="escaped the basic-forest"):
-            forest_normal_form(x, p)
-        assert memo == {}
-    monkeypatch.undo()
+    caches = (lambda_alg._basic_forests, lambda_alg._degree_slice,
+              lambda_alg._certified_basis)
+    real = forests.enumerate_basic_forests
+    monkeypatch.setattr(forests, "enumerate_basic_forests",
+                        lambda labels, e: real(labels, e)[1:])
+    for cache in caches:
+        cache.cache_clear()
+    try:
+        for _ in range(2):
+            with pytest.raises(AssertionError,
+                               match="free slice columns are not the basic"):
+                forest_normal_form(x, p)
+            assert lambda_alg._certified_basis.cache_info().currsize == 0
+    finally:
+        monkeypatch.undo()
+        for cache in caches:
+            cache.cache_clear()
     assert forest_normal_form(x, p) == _two_echelon_normal_form(x, p)
+
+
+@pytest.mark.parametrize("variant", ["tri", "twisted"])
+def test_free_slice_columns_are_the_basic_monomials(variant):
+    for n in (5, 6, 7):
+        p = Presentation(variant, range(1, n + 1))
+        for d in range((n - 1) // 2 + 1):
+            sl = lambda_alg.degree_slice(p, d)
+            basics = sorted(p.universe.monomial(f.sorted_edges)[0]
+                            for f in forests.enumerate_basic_forests(p.labels, d))
+            free = [m for m, c in sl.col_of.items()
+                    if c not in sl.echelon.pivots]
+            assert free == basics == sl.columns[len(sl.columns) - len(basics):]
+            natural = _two_echelon_basis(variant, p.labels, d)[1]
+            assert sl.quotient_dimension() == natural.quotient_dimension()
+
+
+def test_normal_form_worker_reproduces_the_smoke_digest():
+    """The benchmark's smoke normal-form run (the worker arguments that
+    recorded perfbench/expected/normal-form-smoke.sha256) answers every
+    query, passes its membership check and gives the stored digest."""
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(root / "src"), PYTHONHASHSEED="0",
+               FORESTALG_JOBS="1")
+    proc = subprocess.run(
+        [sys.executable, str(root / "perfbench" / "nf_worker.py"),
+         "--labels", "5", "--degrees", "2", "--seed", "1", "--batch", "20",
+         "--queries", "20"],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    summary = json.loads(proc.stdout.splitlines()[-1])
+    assert summary["queries"] == 20 and summary["failed"] == 0
+    want = root / "perfbench" / "expected" / "normal-form-smoke.sha256"
+    assert summary["digest"] == want.read_text().strip()
 
 
 def _reduce_report(n, variant, nf):

@@ -10,9 +10,9 @@ from hypothesis import strategies as st
 
 from forestalg import poset_homology
 from forestalg.acceptance import _doubles_and_members
-from forestalg.linalg import (BasisSolver, BitEchelon, FieldEchelon,
-                              field_rank, kernel_basis_fast,
-                              same_rational_span, smith_divisors)
+from forestalg.linalg import (BitEchelon, FieldEchelon, field_rank,
+                              kernel_basis_fast, same_rational_span,
+                              smith_divisors)
 
 P = 2 ** 31 - 1  # a large prime: rows scaled by it are zero modulo P
 
@@ -339,62 +339,6 @@ def test_kernel_lattice_saturated():
         assert g == 1
 
 
-def test_basis_solver_and_coordinates():
-    basis = [{0: 1, 1: 1}, {1: 1, 2: 1}]
-    solver = BasisSolver(basis)
-    assert solver.coordinates({0: 1, 2: -1}) == [Fraction(1), Fraction(-1)]
-    assert solver.coordinates({0: 1}) is None
-    assert solver.coordinates({0: 2, 1: 3, 2: 1}) == [Fraction(2), Fraction(1)]
-    with pytest.raises(ValueError):
-        BasisSolver([{0: 1}, {0: 2}])
-
-
-def test_basis_solver_memo_matches_direct_reduction():
-    rng = random.Random(5)
-    # columns 0..7, with column 3 in no basis row and column 8 past them all
-    basis = [{0: 1, 2: 2, 5: -1}, {1: 3, 2: 1}, {2: 1, 4: 1, 7: 1},
-             {4: 2, 5: 1}, {6: -1, 7: 2}, {7: 1}]
-    solver = BasisSolver(basis)
-
-    def direct(vector):
-        """[v | 0] reduced against [b_k | e_k], with no unit residue kept."""
-        residue = solver.echelon.reduce(vector)
-        if any(c < solver.offset for c in residue):
-            return None
-        return [-residue.get(solver.offset + k, 0) for k in range(len(basis))]
-
-    def combination(coeffs):
-        out = {}
-        for a, b in zip(coeffs, basis):
-            for c, v in b.items():
-                out[c] = out.get(c, 0) + a * v
-        return out
-
-    entries = (-2, -1, 1, 3, Fraction(1, 2), Fraction(-5, 3))
-    queries = []
-    for _ in range(40):
-        coeffs = [rng.choice((0,) + entries) for _ in basis]
-        queries.append(combination(coeffs))
-        queries.append({c: rng.choice(entries)
-                        for c in rng.sample(range(8), rng.randint(1, 4))})
-    assert solver._units == {}
-    cold = [solver.coordinates(q) for q in queries]
-    assert set(solver._units) == set(range(8))
-    warm = [solver.coordinates(q) for q in queries]
-    assert cold == warm == [direct(q) for q in queries]
-    assert sum(c is None for c in warm) >= 10
-    assert sum(c is not None for c in warm) >= 40
-    # a cached residue is stored only when it is nonempty: e_7 lies in the
-    # span, e_3 does not meet it
-    assert solver._units[3] == ({3: 1}, ()) and solver._units[7][0] is None
-    # after warm-up: an out-of-span vector, a column in no basis row and a
-    # column past every basis row still answer None
-    assert solver.coordinates({0: 1, 5: 1}) is None
-    assert solver.coordinates({**basis[0], 3: Fraction(1, 2)}) is None
-    assert solver.coordinates({**basis[1], 8: 1}) is None
-    assert solver.coordinates({**basis[1], 3: 0, 8: 0}) == [0, 1, 0, 0, 0, 0]
-
-
 class _FractionEchelon:
     """Reference Q echelon: every entry a Fraction, pivot leads scaled to 1,
     pivot columns eliminated in increasing order."""
@@ -517,34 +461,6 @@ def test_span_certificates_reject_equal_rank_different_spans():
     left.add({0: 1})
     right.add({1: 1})
     assert not left.same_span(right) and not right.same_span(left)
-
-
-@settings(max_examples=150, deadline=None)
-@given(rows=st.lists(_q_rows(), min_size=1, max_size=8), data=st.data())
-def test_basis_solver_matches_fraction_elimination(rows, data):
-    # the rows the reference echelon accepts are an independent basis; each
-    # one it rejects makes the basis dependent
-    ref = _FractionEchelon()
-    basis, dependent = [], []
-    for r in rows:
-        (basis if ref.add(r) else dependent).append(r)
-    solver = BasisSolver(basis)
-    coeffs = data.draw(st.lists(_entries, min_size=len(basis),
-                                max_size=len(basis)))
-    vector = _combination(coeffs, basis)
-    assert solver.coordinates(vector) == coeffs
-    # column 9 lies past every basis column
-    assert solver.coordinates({**vector, 9: 1}) is None
-    for q in data.draw(st.lists(st.dictionaries(st.integers(0, 8), _entries,
-                                                max_size=5), max_size=4)):
-        coords = solver.coordinates(q)
-        if ref.reduce(q):
-            assert coords is None
-        else:
-            assert _combination(coords, basis) == {c: v for c, v in q.items() if v}
-    for r in dependent:
-        with pytest.raises(ValueError):
-            BasisSolver(basis + [r])
 
 
 @st.composite
