@@ -11,7 +11,6 @@ from forestalg.forests import (canonical_ternary_forest,
                                enumerate_basic_forests, is_basic,
                                tree_statistics)
 from forestalg.lambda_alg import Presentation, forest_normal_form
-from forestalg.rings import QQ
 
 print("the nine 2-edge basic trees on {1..5}:")
 for f in enumerate_basic_forests(range(1, 6), 2):
@@ -23,7 +22,7 @@ for f in enumerate_basic_forests(range(1, 6), 2):
 print()
 print("reduction of a non-basic tree into the basis (five labels):")
 pres = Presentation("tri", range(1, 6))
-x = pres.monomial([(1, 4, 5), (2, 3, 5)]).convert(QQ)
+x = pres.monomial([(1, 4, 5), (2, 3, 5)])
 print("  g(1,4,5) g(2,3,5)  -->")
 for g, c in sorted(forest_normal_form(x, pres).items(),
                    key=lambda kv: kv[0].sorted_edges):
@@ -31,7 +30,7 @@ for g, c in sorted(forest_normal_form(x, pres).items(),
 
 print()
 print("a monomial whose graph has a cycle is zero:")
-y = pres.monomial([(2, 3, 4), (2, 4, 5)]).convert(QQ)
+y = pres.monomial([(2, 3, 4), (2, 4, 5)])
 print(f"  g(2,3,4) g(2,4,5) --> {forest_normal_form(y, pres)}")
 
 print()

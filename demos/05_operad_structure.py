@@ -17,9 +17,9 @@ f = FiniteMap.make({1: 101, 2: 101, 3: 101, 4: 101, 5: 102},
                    target=(101, 102))
 quad5 = Presentation("quad", range(1, 6))
 print("coproduct of a generator concentrated in one fiber:")
-print(" ", delta_f(f, quad5.term((1, 2, 3, 4)), "quad"))
+print(" ", delta_f(f, quad5.monomial([(1, 2, 3, 4)]), "quad"))
 print("a 3+1 split survives via the attach point:")
-print(" ", delta_f(f, quad5.term((1, 2, 3, 5)), "quad"))
+print(" ", delta_f(f, quad5.monomial([(1, 2, 3, 5)]), "quad"))
 
 g = FiniteMap.make({101: 201, 102: 201}, target=(201,))
 print("coassociativity of the iterated coproducts:", coassociativity_check(f, g))
@@ -28,10 +28,8 @@ print()
 print("the ternary functional on three labels:")
 G = TernaryForest.make([("n", 1, 2, 3)])
 tri3 = Presentation("tri", [1, 2, 3])
-print("  on the generator:", tau_compose(G, tri3.term((1, 2, 3)), [1, 2, 3]))
-from forestalg.skewpoly import SkewPoly
-from forestalg.rings import ZZ
-print("  on 1:", tau_compose(G, SkewPoly.one(ZZ), [1, 2, 3]))
+print("  on the generator:", tau_compose(G, tri3.monomial([(1, 2, 3)]), [1, 2, 3]))
+print("  on 1:", tau_compose(G, tri3.monomial([]), [1, 2, 3]))
 
 print()
 print("10-term identity:", jacobi_10term_check())

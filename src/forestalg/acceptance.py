@@ -10,7 +10,6 @@ from itertools import combinations
 
 from . import forests, keel, lambda_alg, operad, poset_homology, quadratic_dual
 from .linalg import BitEchelon, smith_divisors
-from .rings import QQ, ZZ
 from .series import (keel_betti_polynomial, odd_square_product_poly,
                      verify_functional_equation_B)
 from .skewpoly import SkewPoly, slice_rows
@@ -128,11 +127,10 @@ def criterion_3_freeness(n_max: int = 8) -> dict:
             linear = quad.linear_relations()
             shared3 = [r for r in quad.quadratic_relations() if len(r.terms) == 1]
             six_index = [r for r in quad.quadratic_relations() if len(r.terms) > 1]
-            columns, rows = slice_rows([r.convert(ZZ) for r in linear + shared3],
-                                       2, quad.universe, ZZ)
+            columns, rows = slice_rows(linear + shared3, 2, quad.universe)
             col_of = {m: i for i, m in enumerate(columns)}
             doubled, plain = _doubles_and_members(
-                list(rows), [{col_of[m]: c for m, c in r.convert(ZZ).terms.items()}
+                list(rows), [{col_of[m]: c for m, c in r.terms.items()}
                              for r in six_index])
             membership[n] = {"2x_in_ideal": doubled, "1x_in_ideal": plain}
             ok = ok and doubled and plain is False
@@ -165,7 +163,7 @@ def criterion_4_basis(n_max: int = 9, pairing_max: int = 8) -> dict:
             pres = lambda_alg.Presentation("tri", range(1, n))
             for m in combinations(range(len(pres.universe)), 2):
                 try:
-                    lambda_alg.forest_normal_form(SkewPoly(QQ, {m: 1}), pres)
+                    lambda_alg.forest_normal_form(SkewPoly({m: 1}), pres)
                 except AssertionError:
                     reductions = False
         pairings = {}

@@ -28,7 +28,7 @@ from . import forests
 from .forests import TriangleGraph
 from .linalg import same_rational_span, smith_divisors
 from .poset_homology import _boundary
-from .rings import QQ, ZZ
+from .rings import ZZ, integral
 from .series import assemble_reachable, odd_square_product_poly
 from .skewpoly import (GeneratorUniverse, SkewPoly, ideal_slice,
                        mul_monomials, quotient_dimension)
@@ -61,19 +61,17 @@ class Presentation:
         presentation on n-1 labels."""
         return len(self.labels)
 
-    def term(self, indices, coeff=1, ring=ZZ) -> SkewPoly:
-        got = self.universe.gen_id(indices)
-        if got is None:
-            return SkewPoly.zero(ring)
-        gid, sign = got
-        return SkewPoly.generator(ring, gid, sign * coeff)
-
     def monomial(self, index_tuples, coeff=1, ring=ZZ) -> SkewPoly:
+        """coeff times the product of the generators on index_tuples, in
+        order (zero when it vanishes); under ``ZZ`` a non-integral coeff is
+        a ValueError."""
+        if ring == ZZ:
+            coeff = integral(coeff)
         got = self.universe.monomial(index_tuples)
         if got is None:
-            return SkewPoly.zero(ring)
+            return SkewPoly()
         mono, sign = got
-        return SkewPoly(ring, {mono: sign * coeff})
+        return SkewPoly({mono: sign * coeff})
 
     # -- relations ---------------------------------------------------------
 
@@ -118,9 +116,7 @@ def _relations_cached(variant: str, labels: tuple) -> list[SkewPoly]:
         key = frozenset(terms.items())
         if key not in seen:
             seen.add(key)
-            rel = SkewPoly(ZZ)
-            rel.terms = terms
-            out.append(rel)
+            out.append(SkewPoly(terms))
 
     if variant == "quad":
         for five in combinations(labels, 5):
@@ -497,7 +493,7 @@ def quad_to_tri(x: SkewPoly, quad: Presentation, tri: Presentation) -> SkewPoly:
             terms = expanded
         for m, v in terms.items():
             out[m] = out.get(m, 0) + v
-    return SkewPoly(x.ring, out)
+    return SkewPoly(out)
 
 
 # ---------------------------------------------------------------------------
@@ -619,7 +615,7 @@ def whitney_differential(x: SkewPoly, p: Presentation) -> SkewPoly:
     d(g_1 ... g_l) = sum_i (-1)^(i-1) g_1 ... g_i-hat ... g_l."""
     if p.variant != "twisted":
         raise ValueError("the Whitney differential lives on the twisted variant")
-    return SkewPoly(x.ring, _boundary(x.terms))
+    return SkewPoly(_boundary(x.terms))
 
 
 def basic_forest_complex_homology(labels) -> dict[int, int]:
@@ -638,7 +634,7 @@ def basic_forest_complex_homology(labels) -> dict[int, int]:
     for e in range(1, max_e + 1):
         rows = []
         for m in bases[e]:
-            img = whitney_differential(SkewPoly(QQ, {m: 1}), p)
+            img = whitney_differential(SkewPoly({m: 1}), p)
             nf = forest_normal_form(img, p)
             rows.append({index[e - 1][p.universe.monomial(f.sorted_edges)[0]]: c
                          for f, c in nf.items()})

@@ -18,7 +18,6 @@ from itertools import combinations, permutations
 
 from .forests import TernaryForest, _eval_sign, tree_internal_nodes, tree_leaves
 from .lambda_alg import Presentation, degree_slice
-from .rings import QQ, ZZ
 from .skewpoly import SkewPoly, mul_monomials, perm_sign
 
 
@@ -166,7 +165,7 @@ class CooperadMap:
                     continue
                 pres = self.slots[slot]
                 sl = degree_slice(pres, len(mono))
-                nf = sl.reduce(SkewPoly(QQ, {mono: 1}))
+                nf = sl.reduce(SkewPoly({mono: 1}))
                 expansions.append(sorted(nf.terms.items()))
             stack = [((), coeff)]
             for exp in expansions:
@@ -195,7 +194,7 @@ def relations_map_to_relations(f: FiniteMap, flavor: str = "quad") -> bool:
     the slotwise tensor product."""
     cm = CooperadMap(f, flavor)
     for r in cm.source.relations():
-        if not cm.tensor_is_zero_in_quotient(cm.apply(r.convert(QQ))):
+        if not cm.tensor_is_zero_in_quotient(cm.apply(r)):
             return False
     return True
 
@@ -241,7 +240,7 @@ def coassociativity_check(f: FiniteMap, g: FiniteMap) -> bool:
         out: dict[tuple, object] = {}
         for key, coeff in cm_f.apply(x).items():
             outer = key[0]  # monomial in Lambda<T>, degree <= 1 here
-            inner = cm_g.apply(SkewPoly(ZZ, {outer: 1}))
+            inner = cm_g.apply(SkewPoly({outer: 1}))
             for key2, c2 in inner.items():
                 full = [()] * nslots
                 full[slotU] = key2[0]
@@ -275,7 +274,7 @@ def coassociativity_check(f: FiniteMap, g: FiniteMap) -> bool:
                 cm_u = f_u_maps[u]
                 new_partial = []
                 for outer, fibers, c in partial:
-                    for key2, c2 in cm_u.apply(SkewPoly(ZZ, {entry: 1})).items():
+                    for key2, c2 in cm_u.apply(SkewPoly({entry: 1})).items():
                         fb = dict(fibers)
                         fb[("u", u)] = key2[0]
                         for t in g.fiber(u):
@@ -302,7 +301,7 @@ def coassociativity_check(f: FiniteMap, g: FiniteMap) -> bool:
 
     src = Presentation("quad", S)
     for gid in range(len(src.universe)):
-        x = SkewPoly.generator(ZZ, gid)
+        x = SkewPoly({(gid,): 1})
         if lhs(x) != rhs(x):
             return False
     return True
@@ -392,7 +391,7 @@ def _evaluate_slots(children, supports, x: SkewPoly, labels: tuple, outer: str):
             continue
         value = coeff * _eval_sign(degrees)
         for c, sup, mono in zip(children, supports, key[1:]):
-            v = evaluate_tree(c, SkewPoly(QQ, {mono: 1}), sup)
+            v = evaluate_tree(c, SkewPoly({mono: 1}), sup)
             if not v:
                 value = 0
                 break
@@ -404,7 +403,7 @@ def _evaluate_slots(children, supports, x: SkewPoly, labels: tuple, outer: str):
 def tau_compose(G: TernaryForest, x: SkewPoly, labels) -> object:
     """The composed-functional value of the ternary forest on an element of
     the tri ring on the given labels."""
-    return evaluate_forest(G, x.convert(QQ), tuple(sorted(labels)))
+    return evaluate_forest(G, x, tuple(sorted(labels)))
 
 
 # ---------------------------------------------------------------------------
@@ -431,7 +430,7 @@ def jacobi_10term_check() -> dict:
     def row_of(tree):
         out = {}
         for i, m in enumerate(basis):
-            v = evaluate_tree(tree, SkewPoly(QQ, {m: 1}), labels)
+            v = evaluate_tree(tree, SkewPoly({m: 1}), labels)
             if v:
                 out[i] = v
         return out

@@ -1,16 +1,19 @@
-"""Exact coefficient rings: the integers and the rationals.
+"""Exact coefficients: plain Python ints and Fractions.
 
-Coefficients are plain Python ints or Fractions; a ring object only
-normalizes, adds and multiplies.
+A coefficient says which ring it lies in: an int is an integer, and a
+Fraction a rational (an integral Fraction equals the int of its value, so
+the two compare and hash alike).  Arithmetic on coefficients is Python's own.
+
+``integral`` is the check on a value that comes from outside, such as a
+caller's coefficient, a parsed term or a Smith entry.  ``ZZ`` and ``QQ`` name
+the two rings where an entry point takes one, and mean exactly one thing:
+under ``ZZ`` a non-integral coefficient is a ValueError.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-
-
-class RingMismatchError(ValueError):
-    """Raised when elements of different coefficient rings are combined."""
+ZZ = "Z"
+QQ = "Q"
 
 
 def integral(c) -> int:
@@ -25,46 +28,3 @@ def integral(c) -> int:
     if i != c:
         raise ValueError(f"{c!r} is not an integer")
     return i
-
-
-class CoefficientRing:
-    """Z or Q, identified by tag."""
-
-    __slots__ = ("tag",)
-
-    _INSTANCES: dict[str, "CoefficientRing"] = {}
-
-    def __new__(cls, tag: str) -> "CoefficientRing":
-        if tag not in ("Z", "Q"):
-            raise ValueError(f"unknown coefficient ring tag {tag!r}")
-        inst = cls._INSTANCES.get(tag)
-        if inst is None:
-            inst = object.__new__(cls)
-            object.__setattr__(inst, "tag", tag)
-            cls._INSTANCES[tag] = inst
-        return inst
-
-    def __repr__(self) -> str:
-        return f"CoefficientRing({self.tag})"
-
-    def __setattr__(self, *a):  # immutable
-        raise AttributeError("CoefficientRing is immutable")
-
-    def normalize(self, c):
-        """Canonical representative; may return 0.  ValueError for a value
-        outside the ring, such as 1/2 over Z."""
-        if self.tag == "Z":
-            return integral(c)
-        if isinstance(c, Fraction):
-            return c
-        return Fraction(c)
-
-    def add(self, a, b):
-        return self.normalize(a + b)
-
-    def mul(self, a, b):
-        return self.normalize(a * b)
-
-
-ZZ = CoefficientRing("Z")
-QQ = CoefficientRing("Q")

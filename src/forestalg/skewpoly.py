@@ -6,7 +6,9 @@ tuples of generator ids and products carry the sign of the sorting
 permutation.  ``GeneratorUniverse.monomial`` is the one place where a word of
 index tuples becomes a signed monomial; the JSON parser, the presentations'
 monomials and relation families, and the forest bases all build theirs
-through it.  Ideal slices realize a homogeneous ideal degree by degree as a
+through it.  An element is its coefficient dict, each coefficient an int or
+a Fraction; the package builds elements from words and never multiplies two
+of them.  Ideal slices realize a homogeneous ideal degree by degree as a
 row space: echelonized over Q, or handed to Smith over Z.
 """
 
@@ -16,7 +18,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from .linalg import FieldEchelon, smith_divisors
-from .rings import QQ, ZZ, CoefficientRing, RingMismatchError
+from .rings import ZZ
 
 
 def perm_sign(seq) -> int:
@@ -145,102 +147,26 @@ def mul_monomials(a: tuple[int, ...], b: tuple[int, ...]):
 
 
 class SkewPoly:
-    """Sparse element: {monomial gid-tuple: coefficient} over a ring."""
+    """Sparse element: {monomial gid-tuple: coefficient}, zero coefficients
+    dropped.  A coefficient is an int or a Fraction, and its type is its
+    ring; equality is equality of values, so an int and a Fraction of the
+    same value give equal elements."""
 
-    __slots__ = ("ring", "terms")
+    __slots__ = ("terms",)
 
-    def __init__(self, ring: CoefficientRing, terms=None):
-        self.ring = ring
-        clean = {}
-        if terms:
-            for m, c in terms.items():
-                c = ring.normalize(c)
-                if c:
-                    clean[tuple(m)] = c
-        self.terms = clean
-
-    @classmethod
-    def zero(cls, ring) -> "SkewPoly":
-        return cls(ring)
-
-    @classmethod
-    def one(cls, ring) -> "SkewPoly":
-        return cls(ring, {(): 1})
-
-    @classmethod
-    def generator(cls, ring, gid: int, coeff=1) -> "SkewPoly":
-        return cls(ring, {(gid,): coeff})
+    def __init__(self, terms=None):
+        self.terms = {m: c for m, c in terms.items() if c} if terms else {}
 
     def __bool__(self) -> bool:
         return bool(self.terms)
 
     def __eq__(self, other) -> bool:
-        return (isinstance(other, SkewPoly) and self.ring is other.ring
-                and self.terms == other.terms)
-
-    def __hash__(self):
-        return hash((self.ring.tag, frozenset(self.terms.items())))
+        return isinstance(other, SkewPoly) and self.terms == other.terms
 
     def __repr__(self) -> str:
         items = sorted(self.terms.items())[:6]
         body = " + ".join(f"{c}*m{list(m)}" for m, c in items)
-        return f"SkewPoly({self.ring.tag}; {body or '0'}{' ...' if len(self.terms) > 6 else ''})"
-
-    def _check(self, other: "SkewPoly") -> None:
-        if self.ring is not other.ring:
-            raise RingMismatchError(f"{self.ring.tag} vs {other.ring.tag}")
-
-    def __add__(self, other: "SkewPoly") -> "SkewPoly":
-        self._check(other)
-        out = dict(self.terms)
-        ring = self.ring
-        for m, c in other.terms.items():
-            v = ring.add(out.get(m, 0), c)
-            if v:
-                out[m] = v
-            else:
-                out.pop(m, None)
-        res = SkewPoly(ring)
-        res.terms = out
-        return res
-
-    def __sub__(self, other: "SkewPoly") -> "SkewPoly":
-        return self + other.scale(-1)
-
-    def __neg__(self) -> "SkewPoly":
-        return self.scale(-1)
-
-    def scale(self, c) -> "SkewPoly":
-        ring = self.ring
-        c = ring.normalize(c)
-        out = {}
-        if c:
-            for m, v in self.terms.items():
-                nv = ring.mul(v, c)
-                if nv:
-                    out[m] = nv
-        res = SkewPoly(ring)
-        res.terms = out
-        return res
-
-    def __mul__(self, other: "SkewPoly") -> "SkewPoly":
-        self._check(other)
-        ring = self.ring
-        out: dict[tuple, object] = {}
-        for ma, ca in self.terms.items():
-            for mb, cb in other.terms.items():
-                prod = mul_monomials(ma, mb)
-                if prod is None:
-                    continue
-                m, sign = prod
-                v = ring.add(out.get(m, 0), ring.mul(ca, sign * cb))
-                if v:
-                    out[m] = v
-                else:
-                    out.pop(m, None)
-        res = SkewPoly(ring)
-        res.terms = out
-        return res
+        return f"SkewPoly({body or '0'}{' ...' if len(self.terms) > 6 else ''})"
 
     def degrees(self) -> set[int]:
         return {len(m) for m in self.terms}
@@ -256,10 +182,7 @@ class SkewPoly:
         return degs.pop() if degs else 0
 
     def homogeneous_part(self, d: int) -> "SkewPoly":
-        return SkewPoly(self.ring, {m: c for m, c in self.terms.items() if len(m) == d})
-
-    def convert(self, ring: CoefficientRing) -> "SkewPoly":
-        return SkewPoly(ring, dict(self.terms))
+        return SkewPoly({m: c for m, c in self.terms.items() if len(m) == d})
 
     def to_json_terms(self, universe: GeneratorUniverse) -> list:
         out = []
@@ -290,48 +213,30 @@ def _check_json_term(item) -> None:
 
 def poly_from_json_terms(ring, universe: GeneratorUniverse, data) -> SkewPoly:
     """Element from a JSON term list (the format of ``to_json_terms``);
-    ValueError on a malformed list.  Each term's monomial and sign come from
-    ``universe.monomial``, with its validation order."""
+    ValueError on a malformed list, and under ``ZZ`` on a non-integral
+    coefficient.  A term's coefficient is an int when its denominator
+    divides its numerator, and otherwise one Fraction.  Each term's monomial
+    and sign come from ``universe.monomial``, with its validation order."""
     if not isinstance(data, list):
         raise ValueError("element must be a list of terms")
     acc: dict[tuple, object] = {}
     for item in data:
         _check_json_term(item)
-        coeff = Fraction(item.get("numerator", 1), item.get("denominator", 1))
-        if ring is not QQ:
-            if coeff.denominator != 1:
-                raise ValueError("non-integral coefficient for integral ring")
-            coeff = coeff.numerator
+        num, den = item.get("numerator", 1), item.get("denominator", 1)
+        whole = num % den == 0
+        if not whole and ring == ZZ:
+            raise ValueError("non-integral coefficient for integral ring")
         got = universe.monomial(item["monomial"])
         if got is not None:
             mono, sign = got
-            v = acc.get(mono, 0) + sign * coeff
+            c = sign * num // den if whole else Fraction(sign * num, den)
+            v = acc.get(mono)
+            v = c if v is None else v + c
             if v:
                 acc[mono] = v
             else:
                 acc.pop(mono, None)
-    return SkewPoly(ring, acc)
-
-
-def partial_derivation(p: SkewPoly, gid: int) -> SkewPoly:
-    """Signed superderivation d/d(gid): remove the generator with the sign
-    (-1)^(its position); satisfies d(ab) = d(a) b + (-1)^deg(a) a d(b)."""
-    out = {}
-    ring = p.ring
-    for m, c in p.terms.items():
-        try:
-            pos = m.index(gid)
-        except ValueError:
-            continue
-        nm = m[:pos] + m[pos + 1:]
-        v = ring.add(out.get(nm, 0), ring.mul(c, (-1) ** (pos & 1)))
-        if v:
-            out[nm] = v
-        else:
-            out.pop(nm, None)
-    res = SkewPoly(ring)
-    res.terms = out
-    return res
+    return SkewPoly(acc)
 
 
 # ---------------------------------------------------------------------------
@@ -364,30 +269,20 @@ class IdealSlice:
         if p.degree() != self.degree:
             raise ValueError(f"degree {p.degree()} element in degree {self.degree} slice")
         row = self.echelon.reduce({self.col_of[m]: c for m, c in p.terms.items()})
-        # the residue's entries are exact and nonzero: int or Fraction
-        out = SkewPoly(QQ)
-        out.terms = {self.columns[c]: v for c, v in row.items()}
-        return out
+        return SkewPoly({self.columns[c]: v for c, v in row.items()})
 
     def contains(self, p: SkewPoly) -> bool:
         return not self.reduce(p).terms
 
 
-def _admits(ring: CoefficientRing, rel_ring: CoefficientRing) -> bool:
-    """Relations over rel_ring can span a slice over ring as they are: the
-    same ring, or integer relations in a rational slice (Z inside Q)."""
-    return rel_ring is ring or (ring is QQ and rel_ring is ZZ)
-
-
 def slice_rows(relations: list[SkewPoly], degree: int,
-               universe: GeneratorUniverse, ring: CoefficientRing,
-               columns=None, products=None):
-    """(columns, rows) of the degree-d slice of the two-sided ideal over Z
-    or Q; ``rows`` yields the sparse rows over ``columns`` one at a time.
+               universe: GeneratorUniverse, columns=None, products=None):
+    """(columns, rows) of the degree-d slice of the two-sided ideal; ``rows``
+    yields the sparse rows over ``columns`` one at a time.
 
-    Relations are over ``ring``, or over Z for a slice over Q; rows are built
-    from their coefficients with plain arithmetic, so integer relations give
-    integer rows.  ``products`` lists the rows as (index into relations,
+    Rows are built from the relations' coefficients with plain arithmetic,
+    so integer relations give integer rows, as Smith needs (it refuses any
+    other entry).  ``products`` lists the rows as (index into relations,
     multiplier monomial) pairs, in the order they are yielded; by default
     every relation times every multiplier of complementary degree, relation
     by relation.  ``columns`` is an ordered list of monomials, and column i
@@ -401,8 +296,6 @@ def slice_rows(relations: list[SkewPoly], degree: int,
     for r in relations:
         if not r.is_homogeneous():
             raise ValueError("inhomogeneous relation")
-        if r and not _admits(ring, r.ring):
-            raise RingMismatchError("relation ring mismatch")
 
     block = columns is not None
     if not block:
@@ -440,12 +333,11 @@ def ideal_slice(relations: list[SkewPoly], degree: int,
                 universe: GeneratorUniverse, columns=None,
                 products=None) -> IdealSlice:
     """The degree-d slice of the two-sided ideal, echelonized over Q.
-    Relations are over Z or Q; ``columns`` and ``products`` are as in
+    Coefficients are ints or Fractions; ``columns`` and ``products`` are as in
     ``slice_rows``, whose rows enter the echelon one at a time.  The order
     of ``columns`` is the elimination order: each pivot leads at its
     earliest column, and a residue lies on the free (non-pivot) columns."""
-    columns, rows = slice_rows(relations, degree, universe, QQ, columns,
-                               products)
+    columns, rows = slice_rows(relations, degree, universe, columns, products)
     echelon = FieldEchelon()
     for row in rows:
         echelon.add(row)
@@ -457,12 +349,11 @@ def quotient_dimension(relations, degree, universe, columns=None,
     """Dimension of (degree-d monomial span)/(ideal slice) over Q; with
     ``with_divisors``, (the same dimension, the elementary divisors of the
     slice over Z: the torsion certificate), both from one Smith form of the
-    integer rows, whose rank is the rank over Q."""
+    integer rows, whose rank is the rank over Q.  There a relation with a
+    non-integral coefficient is a ValueError, from Smith's entry check."""
     if not with_divisors:
         return ideal_slice(relations, degree, universe, columns,
                            products).quotient_dimension()
-    columns, rows = slice_rows([r if r.ring is ZZ else r.convert(ZZ)
-                                for r in relations],
-                               degree, universe, ZZ, columns, products)
+    columns, rows = slice_rows(relations, degree, universe, columns, products)
     rank, divisors = smith_divisors(list(rows))
     return len(columns) - rank, divisors

@@ -1,4 +1,4 @@
-"""The demos use only names the package defines, and the Keel-ring demo runs."""
+"""The demos use only names the package defines, and every demo runs."""
 
 import ast
 import importlib
@@ -31,9 +31,21 @@ def test_demo_imports_resolve(path):
             f"{path.name}: {module}.{name}"
 
 
-def test_keel_demo_runs():
+def _run(path: Path) -> None:
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    proc = subprocess.run(
-        [sys.executable, str(ROOT / "demos" / "04_keel_ring_and_bockstein.py")],
-        capture_output=True, text=True, env=env, timeout=120)
+    proc = subprocess.run([sys.executable, str(path)], capture_output=True,
+                          text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+KEEL_DEMO = ROOT / "demos" / "04_keel_ring_and_bockstein.py"
+
+
+def test_keel_demo_runs():
+    _run(KEEL_DEMO)
+
+
+@pytest.mark.parametrize("path", [p for p in DEMOS if p != KEEL_DEMO],
+                         ids=lambda p: p.name)
+def test_demo_runs(path):
+    _run(path)

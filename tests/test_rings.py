@@ -2,35 +2,31 @@ from fractions import Fraction
 
 import pytest
 
-from forestalg.rings import QQ, ZZ, CoefficientRing
-
-
-def test_tags_and_identity():
-    assert CoefficientRing("Z") is ZZ
-    assert CoefficientRing("Q") is QQ
-    with pytest.raises(ValueError):
-        CoefficientRing("GF3")
-
-
-def test_normalization():
-    assert QQ.normalize(3) == Fraction(3)
-    assert ZZ.normalize(Fraction(4)) == 4
+from forestalg.lambda_alg import Presentation
+from forestalg.rings import QQ, ZZ, integral
+from forestalg.skewpoly import poly_from_json_terms
 
 
 def test_integers_refuse_non_integral_values():
-    from forestalg.skewpoly import SkewPoly
-    for bad in (Fraction(1, 2), Fraction(-3, 2), 2.7):
+    for bad in (Fraction(1, 2), Fraction(-3, 2), 2.7, float("inf"), float("nan")):
         with pytest.raises(ValueError):
-            ZZ.normalize(bad)
+            integral(bad)
+    for good, want in ((Fraction(6, 2), 3), (-4, -4), (5.0, 5)):
+        got = integral(good)
+        assert got == want and type(got) is int
+    pres = Presentation("tri", range(1, 6))
+    universe = pres.universe
+    with pytest.raises(ValueError, match="non-integral"):
+        poly_from_json_terms(ZZ, universe, [{"monomial": [[1, 2, 3]],
+                                             "numerator": 3, "denominator": 2}])
+    assert poly_from_json_terms(
+        ZZ, universe, [{"monomial": [[1, 2, 3]], "numerator": 6,
+                        "denominator": 2}]).terms == {(0,): 3}
     with pytest.raises(ValueError):
-        SkewPoly(ZZ, {(0,): Fraction(1, 2)})
+        pres.monomial([(1, 2, 3)], coeff=Fraction(1, 2))
     with pytest.raises(ValueError):
-        SkewPoly(QQ, {(0,): Fraction(3, 2)}).convert(ZZ)
-    assert SkewPoly(QQ, {(0,): Fraction(6, 2)}).convert(ZZ).terms == {(0,): 3}
-
-
-def test_arithmetic():
-    assert ZZ.add(2, -5) == -3 and ZZ.mul(-2, 3) == -6
-    assert QQ.add(Fraction(1, 2), 1) == Fraction(3, 2)
-    assert QQ.mul(Fraction(2, 3), 3) == 2
-    assert type(QQ.mul(2, 3)) is Fraction
+        pres.monomial([(1, 2, 3)], coeff=2.5)
+    assert pres.monomial([(1, 2, 3)], coeff=Fraction(6, 2)).terms == {(0,): 3}
+    # the rationals take the same values as they are
+    half = pres.monomial([(1, 2, 3)], coeff=Fraction(1, 2), ring=QQ)
+    assert half.terms == {(0,): Fraction(1, 2)}

@@ -5,21 +5,22 @@ from itertools import permutations
 import pytest
 
 from forestalg.lambda_alg import Presentation
-from forestalg.rings import QQ, ZZ, RingMismatchError
+from forestalg.linalg import smith_divisors
+from forestalg.rings import QQ, ZZ
 from forestalg.skewpoly import (GeneratorUniverse, SkewPoly, ideal_slice,
-                                mul_monomials, partial_derivation,
-                                perm_sign, poly_from_json_terms,
+                                mul_monomials, perm_sign, poly_from_json_terms,
                                 quotient_dimension, slice_rows)
+from skewpoly_oracle import Poly, partial_derivation, term
 
 
-def _rand_poly(rng, universe, ring, max_terms=3, max_deg=2):
-    p = SkewPoly.zero(ring)
+def _rand_poly(rng, universe, max_terms=3, max_deg=2):
+    p = Poly.zero()
     for _ in range(rng.randint(1, max_terms)):
         d = rng.randint(0, max_deg)
         gids = rng.sample(range(len(universe)), d)
-        mono = SkewPoly.one(ring).scale(rng.randint(-3, 3))
+        mono = Poly.one().scale(rng.randint(-3, 3))
         for g in gids:
-            mono = mono * SkewPoly.generator(ring, g)
+            mono = mono * Poly.generator(g)
         p = p + mono
     return p
 
@@ -59,12 +60,12 @@ def test_gen_id_memo_gives_the_checked_answer(symmetric):
 def _generator_product(universe, word):
     """Oracle: the word as the product of its generators' SkewPolys; a
     repeated index ends the product."""
-    acc = SkewPoly.one(ZZ)
+    acc = Poly.one()
     for idx in word:
         got = universe.gen_id(idx)
         if got is None:
-            return SkewPoly.zero(ZZ)
-        acc = acc * SkewPoly.generator(ZZ, *got)
+            return Poly.zero()
+        acc = acc * Poly.generator(*got)
     return acc
 
 
@@ -109,7 +110,7 @@ def _check_monomials_against_the_generator_product(universe):
         else:
             mono, sign = got
             assert list(mono) == sorted(set(mono)) and len(mono) == len(word)
-            assert want == SkewPoly(ZZ, {mono: sign}), word
+            assert want == SkewPoly({mono: sign}), word
             kinds["nonzero"] += 1
         # a bad label after a repeated generator is still checked; after a
         # repeated index it is not
@@ -124,8 +125,8 @@ def _check_monomials_against_the_generator_product(universe):
 
 def test_product_examples():
     p = Presentation("tri", range(1, 6))
-    nu123 = p.term((1, 2, 3))
-    nu145 = p.term((1, 4, 5))
+    nu123 = term(p, (1, 2, 3))
+    nu145 = term(p, (1, 4, 5))
     assert not (nu123 * nu123)            # odd square
     a = nu123 * nu145
     b = nu145 * nu123
@@ -137,9 +138,9 @@ def test_supercommutativity_and_associativity_random():
     rng = random.Random(11)
     p = Presentation("tri", range(1, 6))
     for _ in range(30):
-        a = _rand_poly(rng, p.universe, ZZ)
-        b = _rand_poly(rng, p.universe, ZZ)
-        c = _rand_poly(rng, p.universe, ZZ)
+        a = _rand_poly(rng, p.universe)
+        b = _rand_poly(rng, p.universe)
+        c = _rand_poly(rng, p.universe)
         assert (a * b) * c == a * (b * c)
         for da in a.degrees() or {0}:
             for db in b.degrees() or {0}:
@@ -148,27 +149,22 @@ def test_supercommutativity_and_associativity_random():
                 assert ah * bh == (bh * ah).scale((-1) ** (da * db))
 
 
-def test_ring_mismatch():
-    with pytest.raises(RingMismatchError):
-        SkewPoly.generator(ZZ, 0) * SkewPoly.generator(QQ, 0)
-
-
 def test_partial_derivation():
     p = Presentation("tri", range(1, 7))
-    x = p.term((1, 2, 3))
-    y = p.term((1, 4, 5))
+    x = term(p, (1, 2, 3))
+    y = term(p, (1, 4, 5))
     gx = x.terms and next(iter(x.terms))[0]
     gy = next(iter(y.terms))[0]
-    assert partial_derivation(x, gx) == SkewPoly.one(ZZ)
-    assert partial_derivation(p.term((2, 3, 4)), gx) == SkewPoly.zero(ZZ)
+    assert partial_derivation(x, gx) == Poly.one()
+    assert partial_derivation(term(p, (2, 3, 4)), gx) == Poly.zero()
     # derivation rule d(ab) = d(a) b + (-1)^deg(a) a d(b)
     rng = random.Random(3)
     for _ in range(25):
-        a = _rand_poly(rng, p.universe, ZZ)
-        b = _rand_poly(rng, p.universe, ZZ)
+        a = _rand_poly(rng, p.universe)
+        b = _rand_poly(rng, p.universe)
         g = rng.randrange(len(p.universe))
         lhs = partial_derivation(a * b, g)
-        rhs = SkewPoly.zero(ZZ)
+        rhs = Poly.zero()
         for d in a.degrees() or {0}:
             ah = a.homogeneous_part(d)
             rhs = rhs + partial_derivation(ah, g) * b \
@@ -178,14 +174,11 @@ def test_partial_derivation():
 
 def test_quotient_dimension_examples():
     p5 = Presentation("tri", range(1, 5))       # four labels
-    assert quotient_dimension([r.convert(QQ) for r in p5.relations()], 1,
-                              p5.universe) == 4
+    assert quotient_dimension(p5.relations(), 1, p5.universe) == 4
     p6 = Presentation("tri", range(1, 6))
-    assert quotient_dimension([r.convert(QQ) for r in p6.relations()], 2,
-                              p6.universe) == 9
+    assert quotient_dimension(p6.relations(), 2, p6.universe) == 9
     p7 = Presentation("tri", range(1, 7))
-    assert quotient_dimension([r.convert(QQ) for r in p7.relations()], 2,
-                              p7.universe) == 64
+    assert quotient_dimension(p7.relations(), 2, p7.universe) == 64
 
 
 def test_integer_relations_give_integer_rational_slice():
@@ -196,10 +189,31 @@ def test_integer_relations_give_integer_rational_slice():
     assert all(type(v) is int
                for row in sl.echelon.pivots.values() for v in row.values())
     x = p.monomial([(1, 2, 3), (3, 4, 5)], coeff=3, ring=QQ)
-    assert sl.reduce(x) == ideal_slice([r.convert(QQ) for r in p.relations()],
+    assert sl.reduce(x) == ideal_slice(_as_fractions(p.relations()),
                                        2, p.universe).reduce(x)
-    with pytest.raises(RingMismatchError):
-        slice_rows([r.convert(QQ) for r in p.relations()], 2, p.universe, ZZ)
+
+
+def _as_fractions(relations):
+    """The same relations with every coefficient a Fraction."""
+    return [SkewPoly({m: Fraction(c) for m, c in r.terms.items()})
+            for r in relations]
+
+
+def test_smith_refuses_a_non_integral_relation():
+    """The Smith boundary takes relations as they are: integral Fractions
+    pass, and a 1/2 coefficient is a ValueError from Smith's entry check."""
+    p = Presentation("tri", range(1, 6))
+    rels = p.relations()
+    want = quotient_dimension(rels, 2, p.universe, with_divisors=True)
+    assert quotient_dimension(_as_fractions(rels), 2, p.universe,
+                              with_divisors=True) == want
+    half = SkewPoly({m: Fraction(c, 2) for m, c in rels[-1].terms.items()})
+    with pytest.raises(ValueError, match="not an integer"):
+        quotient_dimension(rels[:-1] + [half], 2, p.universe,
+                           with_divisors=True)
+    _, rows = slice_rows([half], 2, p.universe)  # rows are built as they are
+    with pytest.raises(ValueError, match="not an integer"):
+        smith_divisors(list(rows))
 
 
 def test_empty_relations_slice():
@@ -210,16 +224,16 @@ def test_empty_relations_slice():
 
 def test_reduce_projection_properties():
     p = Presentation("tri", range(1, 7))
-    rels = [r.convert(QQ) for r in p.relations()]
+    rels = p.relations()
     sl = ideal_slice(rels, 2, p.universe)
     for r in rels:
         assert not sl.reduce(r).terms           # relations reduce to zero
     rng = random.Random(9)
     for _ in range(20):
-        x = SkewPoly.zero(QQ)
+        x = Poly.zero()
         for _ in range(3):
             m = tuple(sorted(rng.sample(range(len(p.universe)), 2)))
-            x = x + SkewPoly(QQ, {m: rng.randint(-3, 3)})
+            x = x + SkewPoly({m: Fraction(rng.randint(-3, 3))})
         nf = sl.reduce(x)
         assert sl.reduce(nf) == nf              # idempotent
         assert sl.contains(x - nf)              # difference in the slice
@@ -228,7 +242,7 @@ def test_reduce_projection_properties():
 def test_gf2_and_integer_slices_agree_on_free_quotients():
     p = Presentation("tri", range(1, 6))
     rels = p.relations()
-    dim_q = quotient_dimension([r.convert(QQ) for r in rels], 2, p.universe)
+    dim_q = quotient_dimension(rels, 2, p.universe)
     dim_z, div = quotient_dimension(rels, 2, p.universe, with_divisors=True)
     assert dim_q == dim_z == 9
     assert all(d == 1 for d in div)
@@ -236,24 +250,24 @@ def test_gf2_and_integer_slices_agree_on_free_quotients():
 
 def test_json_round_trip():
     p = Presentation("tri", range(1, 6))
-    x = p.monomial([(1, 2, 3), (1, 4, 5)], coeff=3) + p.term((2, 3, 4)).scale(-2)
+    x = p.monomial([(1, 2, 3), (1, 4, 5)], coeff=3) + term(p, (2, 3, 4)).scale(-2)
     data = x.to_json_terms(p.universe)
     back = poly_from_json_terms(ZZ, p.universe, data)
     assert back == x
 
 
-def _product_from_json_terms(ring, universe, data):
+def _product_from_json_terms(universe, data):
     """Oracle: each term as the product of its generators' SkewPolys."""
-    acc = SkewPoly.zero(ring)
+    acc = Poly.zero()
     for item in data:
         coeff = Fraction(item.get("numerator", 1), item.get("denominator", 1))
-        mono = SkewPoly.one(ring).scale(coeff if ring is QQ else coeff.numerator)
+        mono = Poly.one().scale(coeff)
         for idx in item["monomial"]:
             got = universe.gen_id(tuple(idx))
             if got is None:
-                mono = SkewPoly.zero(ring)
+                mono = Poly.zero()
                 break
-            mono = mono * SkewPoly.generator(ring, *got)
+            mono = mono * Poly.generator(*got)
         acc = acc + mono
     return acc
 
@@ -276,11 +290,11 @@ def test_json_terms_match_the_product_builder(variant):
                     term["denominator"] = rng.choice((1, 2, 3, -4))
                 data.append(term)
             got = poly_from_json_terms(ring, universe, data)
-            assert got == _product_from_json_terms(ring, universe, data), data
+            assert got == _product_from_json_terms(universe, data), data
     # both orders of one generator: the product vanishes
     for ring in (ZZ, QQ):
         data = [{"monomial": [[1, 2, 3], [3, 2, 1]]}, {"monomial": []}]
-        assert poly_from_json_terms(ring, universe, data) == SkewPoly.one(ring)
+        assert poly_from_json_terms(ring, universe, data) == Poly.one()
 
 
 def test_json_terms_validation_order():
@@ -298,6 +312,44 @@ def test_json_terms_validation_order():
             ring, universe, [{"monomial": [[1, 1, 2], [1, 2, 9]]}])
     with pytest.raises(ValueError, match="non-integral"):
         poly_from_json_terms(ZZ, universe, [{"monomial": [], "denominator": 2}])
+
+
+def test_json_coefficients_stay_ints_when_integral():
+    universe = Presentation("tri", range(1, 6)).universe
+    for ring in (ZZ, QQ):
+        for idx, num, den in (([1, 2, 3], 4, 2), ([1, 3, 2], 6, -3)):
+            got = poly_from_json_terms(ring, universe, [
+                {"monomial": [idx], "numerator": num, "denominator": den}])
+            assert got.terms == {(0,): 2} and type(got.terms[(0,)]) is int
+    with pytest.raises(ValueError, match="non-integral"):
+        poly_from_json_terms(ZZ, universe, [
+            {"monomial": [[1, 2, 3]], "numerator": 1, "denominator": 2}])
+    half = poly_from_json_terms(QQ, universe, [
+        {"monomial": [[1, 3, 2]], "numerator": 1, "denominator": 2}])
+    assert half.terms == {(0,): Fraction(-1, 2)}
+
+
+def test_json_parser_builds_one_fraction_per_non_integral_term(monkeypatch):
+    from forestalg import skewpoly
+
+    built = []
+
+    class Counted(Fraction):
+        def __new__(cls, *args):
+            built.append(args)
+            return Fraction(*args)
+
+    monkeypatch.setattr(skewpoly, "Fraction", Counted)
+    universe = Presentation("tri", range(1, 6)).universe
+    data = [{"monomial": [[1, 2, 3]], "numerator": 3},
+            {"monomial": [[1, 4, 5]], "numerator": 8, "denominator": -4},
+            {"monomial": [[2, 4, 5]], "numerator": 1, "denominator": 3},
+            {"monomial": [[1, 2, 3], [3, 4, 5]], "numerator": -5,
+             "denominator": 2},
+            {"monomial": []}]
+    got = poly_from_json_terms(QQ, universe, data)
+    assert len(built) == 2
+    assert got == _product_from_json_terms(universe, data)
 
 
 def test_monomial_merge_sign():
