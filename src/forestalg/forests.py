@@ -12,10 +12,11 @@ on three decompositions, each written once here:
   leaves three basic trees holding a, b and k.  ``is_basic`` and
   ``tree_statistics`` recurse on it; the side at k is the stepchild, whose
   chain gives a tree's rank, composition and keystone;
-- the keystone walk (``_keystone_walk``): remove the keystone of the first
-  component with an edge until none is left.  Its stage data order the basic
-  forests (``forest_mu_key``), and its removals reversed are the insertion
-  order of the canonical ternary partner (``keystone_insertion_order``);
+- the keystone walk (``TriangleGraph.keystone_walk``): remove the keystone
+  of the first component with an edge until none is left.  Its stage data
+  order the basic forests (``forest_mu_key``), and its removals reversed are
+  the insertion order of the canonical ternary partner
+  (``keystone_insertion_order``);
 - the pairing recursion (``_pair_children``): a forest's trees side by side,
   or a node's three children under one root generator.  In the
   ``forest_mu_key`` order, the pairing of basic forests with their canonical
@@ -25,8 +26,8 @@ on three decompositions, each written once here:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
-from itertools import combinations
+from functools import cached_property, lru_cache
+from itertools import combinations, product
 
 from .skewpoly import perm_sign
 
@@ -65,6 +66,30 @@ class TriangleGraph:
 
     def to_json(self) -> list:
         return [list(e) for e in self.sorted_edges]
+
+    @cached_property
+    def keystone_walk(self) -> tuple:
+        """The keystone-removal history of a basic forest, walked once per
+        graph: for each stage, the components in order of their minimum,
+        their compositions, and the keystone of the first component that has
+        an edge, which the next stage removes (None at the last stage, where
+        no edge is left).  Each stage's components are checked basic by
+        ``tree_statistics``."""
+        edges = list(self.sorted_edges)
+        stages = []
+        while True:
+            parts = tuple(_union_find_components(self.vertices, edges))
+            keystone = None
+            mus = []
+            for p in parts:
+                _, _, ks, mu = tree_statistics(p, _edges_in(p, edges))
+                mus.append(mu)
+                if keystone is None:
+                    keystone = ks
+            stages.append((parts, tuple(mus), keystone))
+            if keystone is None:
+                return tuple(stages)
+            edges.remove(keystone)
 
 
 def _union_find_components(vertices, edges) -> list[tuple]:
@@ -293,29 +318,6 @@ def _stepchild_statistics(vertices: tuple, edges: tuple):
     return rank, sc_vs, keystone, (rank,) + sc_mu
 
 
-def _keystone_walk(F: TriangleGraph) -> list[tuple]:
-    """The keystone-removal history of a basic forest: for each stage, the
-    components in order of their minimum, their compositions, and the
-    keystone of the first component that has an edge, which the next stage
-    removes (None at the last stage, where no edge is left).  Each stage's
-    components are checked basic by ``tree_statistics``."""
-    edges = list(F.sorted_edges)
-    stages = []
-    while True:
-        parts = tuple(_union_find_components(F.vertices, edges))
-        keystone = None
-        mus = []
-        for p in parts:
-            _, _, ks, mu = tree_statistics(p, _edges_in(p, edges))
-            mus.append(mu)
-            if keystone is None:
-                keystone = ks
-        stages.append((parts, tuple(mus), keystone))
-        if keystone is None:
-            return stages
-        edges.remove(keystone)
-
-
 def forest_mu_key(g: TriangleGraph):
     """Sort key for the triangular pairing: the (partition, compositions)
     stage data of the whole keystone-removal history.
@@ -325,7 +327,7 @@ def forest_mu_key(g: TriangleGraph):
     theorem, and the later stages break composition ties the same way the
     greedy reconstruction of a tree from its keystone chain does.
     """
-    return tuple((parts, mus) for parts, mus, _ in _keystone_walk(g))
+    return tuple((parts, mus) for parts, mus, _ in g.keystone_walk)
 
 
 # ---------------------------------------------------------------------------
@@ -469,12 +471,24 @@ def pairing(G: TernaryForest, F: TriangleGraph) -> int:
         raise ValueError("label-set mismatch")
     if not is_forest(F):
         raise ValueError("pairing needs a forest monomial")
-    return pairing_on_sequence(G, F.sorted_edges)
+    return _pair_children(G.trees, F.sorted_edges, 0)
 
 
-def pairing_on_sequence(G: TernaryForest, triangles: tuple) -> int:
-    """Pairing against a monomial written as an explicit triangle sequence."""
-    return _pair_children(G.trees, triangles, 0)
+def pairing_support(G: TernaryForest):
+    """The edge sets F with pairing(G, F) != 0, read off ``_pair_children``:
+    F's triangles go one to each internal node of G, each taking one vertex
+    from each of the node's three child leaf sets, and the value is then
+    +-1.  A triangle's node is the least common ancestor of its vertices, so
+    distinct picks give distinct edge sets, with no repeated triangle."""
+    nodes = []
+    stack = list(G.trees)
+    while stack:
+        t = stack.pop()
+        if isinstance(t, tuple) and t and t[0] == "n":
+            nodes.append(list(product(*map(tree_leaves, t[1:]))))
+            stack.extend(t[1:])
+    for pick in product(*nodes):
+        yield frozenset(tuple(sorted(tri)) for tri in pick)
 
 
 # ---------------------------------------------------------------------------
@@ -485,7 +499,7 @@ def keystone_insertion_order(F: TriangleGraph) -> tuple:
     """Triangle order whose merge forest is the canonical partner of F:
     repeatedly remove the keystone of the component holding the smallest
     vertex among components that still have an edge."""
-    return tuple(ks for _, _, ks in reversed(_keystone_walk(F)[:-1]))
+    return tuple(ks for _, _, ks in reversed(F.keystone_walk[:-1]))
 
 
 def canonical_ternary_forest(F: TriangleGraph) -> TernaryForest:

@@ -16,7 +16,9 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import combinations, permutations
 
-from .forests import TernaryForest, _eval_sign, tree_internal_nodes, tree_leaves
+from .forests import (TernaryForest, _eval_sign, canonical_ternary_forest,
+                      enumerate_basic_forests, forest_mu_key, pairing,
+                      pairing_support, tree_internal_nodes, tree_leaves)
 from .lambda_alg import Presentation, degree_slice
 from .skewpoly import SkewPoly, mul_monomials, perm_sign
 
@@ -89,6 +91,7 @@ class CooperadMap:
             for t in tgt:
                 self.slots.append(Presentation("tri", f.fiber(t)))
         self.slot_of_target = {t: i + 1 for i, t in enumerate(tgt)}
+        self.slot_labels = [set(p.universe.labels) for p in self.slots]
 
     def _generator_image(self, gid: int) -> list[tuple[int, int, int]]:
         """[(slot, slot gid, sign)] for one source generator."""
@@ -101,14 +104,15 @@ class CooperadMap:
                 g2 = self.slots[0].universe.gen_id(image)
                 if g2 is not None:
                     out.append((0, g2[0], g2[1]))
-            for i, t in enumerate(self.f.target):
+            # a target outside the image would give (t, t, t, t)
+            for t in sorted(set(image)):
+                slot = self.slot_of_target[t]
                 ht = tuple(x if mp[x] == t else t for x in tup)
-                slot_pres = self.slots[i + 1]
                 if (len(set(ht)) == len(ht)
-                        and set(ht) <= set(slot_pres.universe.labels)):
-                    g2 = slot_pres.universe.gen_id(ht)
+                        and set(ht) <= self.slot_labels[slot]):
+                    g2 = self.slots[slot].universe.gen_id(ht)
                     if g2 is not None:
-                        out.append((i + 1, g2[0], g2[1]))
+                        out.append((slot, g2[0], g2[1]))
         else:
             image = tuple(mp[x] for x in tup)
             k = len(set(image))
@@ -226,15 +230,20 @@ def coassociativity_check(f: FiniteMap, g: FiniteMap) -> bool:
     cm_gf = CooperadMap(gf, "quad")
     # final slot layout: outer U, then one slot per u (g-fiber + u), then one
     # slot per t (f-fiber + t)
-    slotU = 0
     slot_u = {u: 1 + i for i, u in enumerate(U)}
     slot_t = {t: 1 + len(U) + i for i, t in enumerate(T)}
     nslots = 1 + len(U) + len(T)
-    slot_pres = [Presentation("quad", U)]
+    # Delta_(f_u) for each u, with its slots placed in the final layout
+    f_u_maps = []
     for u in U:
-        slot_pres.append(Presentation("quad", g.fiber(u) + (u,)))
-    for t in T:
-        slot_pres.append(Presentation("quad", f.fiber(t) + (t,)))
+        g_fiber = g.fiber(u)
+        mapping = {s: f.mapping[s] for s in gf.fiber(u)}
+        mapping[u] = u
+        cm_u = CooperadMap(FiniteMap.make(mapping, target=g_fiber + (u,)),
+                           "quad")
+        places = [(slot_u[u], 0)] + [(slot_t[t], cm_u.slot_of_target[t])
+                                     for t in g_fiber]
+        f_u_maps.append((cm_u, places, cm_u.slot_of_target[u]))
 
     def lhs(x: SkewPoly) -> dict:
         out: dict[tuple, object] = {}
@@ -242,13 +251,7 @@ def coassociativity_check(f: FiniteMap, g: FiniteMap) -> bool:
             outer = key[0]  # monomial in Lambda<T>, degree <= 1 here
             inner = cm_g.apply(SkewPoly({outer: 1}))
             for key2, c2 in inner.items():
-                full = [()] * nslots
-                full[slotU] = key2[0]
-                for i, u in enumerate(U):
-                    full[slot_u[u]] = key2[1 + i]
-                for i, t in enumerate(T):
-                    full[slot_t[t]] = key[1 + i]
-                k = tuple(full)
+                k = key2 + key[1:]
                 v = out.get(k, 0) + coeff * c2
                 if v:
                     out[k] = v
@@ -258,39 +261,24 @@ def coassociativity_check(f: FiniteMap, g: FiniteMap) -> bool:
 
     def rhs(x: SkewPoly) -> dict:
         out: dict[tuple, object] = {}
-        base = cm_gf.apply(x)
-        f_u_maps = {}
-        for u in U:
-            mapping = {s: f.mapping[s] for s in gf.fiber(u)}
-            mapping[u] = u
-            f_u_maps[u] = CooperadMap(
-                FiniteMap.make(mapping, target=g.fiber(u) + (u,)), "quad")
-        for key, coeff in base.items():
+        for key, coeff in cm_gf.apply(x).items():
             # apply Delta_(f_u) to each u-slot (entries have degree <= 1, so
             # at most one slot is nontrivial and no Koszul signs arise)
-            partial = [(key[0], {}, coeff)]
-            for i, u in enumerate(U):
-                entry = key[1 + i]
-                cm_u = f_u_maps[u]
+            partial = [([key[0]] + [()] * (nslots - 1), coeff)]
+            for entry, (cm_u, places, own) in zip(key[1:], f_u_maps):
+                # the fiber over u itself is the trivial algebra
+                images = [(key2, c2) for key2, c2
+                          in cm_u.apply(SkewPoly({entry: 1})).items()
+                          if not key2[own]]
                 new_partial = []
-                for outer, fibers, c in partial:
-                    for key2, c2 in cm_u.apply(SkewPoly({entry: 1})).items():
-                        fb = dict(fibers)
-                        fb[("u", u)] = key2[0]
-                        for t in g.fiber(u):
-                            fb[("t", t)] = key2[cm_u.slot_of_target[t]]
-                        # the fiber over u itself is the trivial algebra
-                        if key2[cm_u.slot_of_target[u]]:
-                            continue
-                        new_partial.append((outer, fb, c * c2))
+                for full, c in partial:
+                    for key2, c2 in images:
+                        full2 = list(full)
+                        for slot, i in places:
+                            full2[slot] = key2[i]
+                        new_partial.append((full2, c * c2))
                 partial = new_partial
-            for outer, fibers, c in partial:
-                full = [()] * nslots
-                full[slotU] = outer
-                for u in U:
-                    full[slot_u[u]] = fibers.get(("u", u), ())
-                for t in T:
-                    full[slot_t[t]] = fibers.get(("t", t), ())
+            for full, c in partial:
                 k = tuple(full)
                 v = out.get(k, 0) + c
                 if v:
@@ -415,7 +403,6 @@ def jacobi_10term_check() -> dict:
     the 9-dimensional degree-2 piece on five labels: rank 9, the signed
     alternating sum vanishes, and the kernel is one-dimensional, spanned by
     the alternator's coefficient pattern."""
-    from .forests import enumerate_basic_forests
     from .linalg import field_rank
 
     labels = (1, 2, 3, 4, 5)
@@ -487,33 +474,31 @@ def triangular_pairing_certificate(n: int) -> dict:
     """Order the basic forests of the tri presentation on n-1 labels by their
     partition and composition key; pair each with the canonical ternary forest
     of its partner.  The matrix must be upper triangular with a +-1 diagonal,
-    which makes it a change of basis witnessing split injectivity."""
-    from .forests import (canonical_ternary_forest, enumerate_basic_forests,
-                          forest_mu_key, pairing)
+    which makes it a change of basis witnessing split injectivity.
 
+    Row i is read from its partner's support (``forests.pairing_support``):
+    ``pairing`` runs only on the basic forests in it, and every other entry
+    is 0 by the lemma stated there."""
     labels = tuple(range(1, n))
     report = {"n": n, "degrees": {}, "triangular": True}
-    max_e = (len(labels) - 1) // 2 if len(labels) % 2 else len(labels) // 2
-    for e in range(1, max_e + 1):
+    for e in range(1, len(labels) // 2 + 1):
         fs = enumerate_basic_forests(labels, e)
         if not fs:
             continue
         fs.sort(key=forest_mu_key)
-        partners = [canonical_ternary_forest(f) for f in fs]
-        mat = []
+        position = {F.edges: j for j, F in enumerate(fs)}
+        rows = []
         ok = True
-        for i, G in enumerate(partners):
-            row = []
-            for j, F in enumerate(fs):
-                v = pairing(G, F)
-                row.append(v)
-                if j < i and v != 0:
-                    ok = False
-                if j == i and v not in (1, -1):
-                    ok = False
-            mat.append(row)
+        for i, F in enumerate(fs):
+            G = canonical_ternary_forest(F)
+            found = map(position.get, pairing_support(G))
+            row = {j: pairing(G, fs[j]) for j in found if j is not None}
+            if row.get(i) not in (1, -1) or any(row[j] for j in row if j < i):
+                ok = False
+            rows.append(row)
         report["degrees"][e] = {"size": len(fs), "unit_diagonal_triangular": ok}
         if e <= 2 and len(fs) <= 16:
-            report["degrees"][e]["matrix"] = mat
+            report["degrees"][e]["matrix"] = [
+                [row.get(j, 0) for j in range(len(fs))] for row in rows]
         report["triangular"] = report["triangular"] and ok
     return report

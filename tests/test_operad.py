@@ -1,14 +1,18 @@
 import random
+from functools import lru_cache
 
 import pytest
 
+from forestalg import operad
 from forestalg.forests import (TernaryForest, TriangleGraph,
                                canonical_ternary_forest,
-                               enumerate_basic_forests, pairing)
+                               enumerate_basic_forests, forest_mu_key,
+                               pairing, pairing_support)
 from forestalg.lambda_alg import Presentation
 from forestalg.operad import (CooperadMap, FiniteMap, coassociativity_check,
                               delta_f, eta_f, eta_split_roundtrip,
                               evaluate_tree, jacobi_10term_check,
+                              random_composable_pair,
                               relations_map_to_relations, tau_compose,
                               triangular_pairing_certificate)
 from forestalg.skewpoly import SkewPoly
@@ -119,6 +123,102 @@ def test_coassociativity_fixed_and_singleton_fibers():
                           target=tuple(range(101, 106)))
     g2 = FiniteMap.make({t: 201 for t in range(101, 106)}, target=(201,))
     assert coassociativity_check(f_id, g2)
+
+
+def _coassociativity_oracle(f: FiniteMap, g: FiniteMap) -> bool:
+    """coassociativity_check as first written: every Delta_(f_u) map and
+    every g-fiber is rebuilt for each source generator."""
+    S, T, U = f.source, f.target, g.target
+    gf = f.compose(g)
+    cm_f = CooperadMap(f, "quad")
+    cm_g = CooperadMap(g, "quad")
+    cm_gf = CooperadMap(gf, "quad")
+    slot_u = {u: 1 + i for i, u in enumerate(U)}
+    slot_t = {t: 1 + len(U) + i for i, t in enumerate(T)}
+    nslots = 1 + len(U) + len(T)
+
+    def add(out, k, c):
+        v = out.get(k, 0) + c
+        if v:
+            out[k] = v
+        else:
+            out.pop(k, None)
+
+    def lhs(x):
+        out = {}
+        for key, coeff in cm_f.apply(x).items():
+            for key2, c2 in cm_g.apply(SkewPoly({key[0]: 1})).items():
+                full = [()] * nslots
+                full[0] = key2[0]
+                for i, u in enumerate(U):
+                    full[slot_u[u]] = key2[1 + i]
+                for i, t in enumerate(T):
+                    full[slot_t[t]] = key[1 + i]
+                add(out, tuple(full), coeff * c2)
+        return out
+
+    def rhs(x):
+        out = {}
+        f_u_maps = {}
+        for u in U:
+            mapping = {s: f.mapping[s] for s in gf.fiber(u)}
+            mapping[u] = u
+            f_u_maps[u] = CooperadMap(
+                FiniteMap.make(mapping, target=g.fiber(u) + (u,)), "quad")
+        for key, coeff in cm_gf.apply(x).items():
+            partial = [(key[0], {}, coeff)]
+            for i, u in enumerate(U):
+                cm_u = f_u_maps[u]
+                new_partial = []
+                for outer, fibers, c in partial:
+                    for key2, c2 in cm_u.apply(SkewPoly({key[1 + i]: 1})).items():
+                        fb = dict(fibers)
+                        fb[("u", u)] = key2[0]
+                        for t in g.fiber(u):
+                            fb[("t", t)] = key2[cm_u.slot_of_target[t]]
+                        if key2[cm_u.slot_of_target[u]]:
+                            continue
+                        new_partial.append((outer, fb, c * c2))
+                partial = new_partial
+            for outer, fibers, c in partial:
+                full = [()] * nslots
+                full[0] = outer
+                for u in U:
+                    full[slot_u[u]] = fibers.get(("u", u), ())
+                for t in T:
+                    full[slot_t[t]] = fibers.get(("t", t), ())
+                add(out, tuple(full), c)
+        return out
+
+    src = Presentation("quad", S)
+    return all(lhs(x) == rhs(x) for x in
+               (SkewPoly({(gid,): 1}) for gid in range(len(src.universe))))
+
+
+@pytest.mark.parametrize("seed", [1, 2026])
+def test_coassociativity_matches_oracle(seed):
+    rng = random.Random(seed)
+    pairs = [random_composable_pair(rng) for _ in range(100)]
+    assert ([coassociativity_check(f, g) for f, g in pairs]
+            == [_coassociativity_oracle(f, g) for f, g in pairs])
+
+
+def test_coassociativity_fails_on_a_flipped_fiber_map(monkeypatch):
+    f = FiniteMap.make({1: 101, 2: 101, 3: 102, 4: 102, 5: 102, 6: 103},
+                       target=(101, 102, 103))
+    g = FiniteMap.make({101: 201, 102: 201, 103: 202}, target=(201, 202))
+    apply = CooperadMap.apply
+
+    def flipped(self, x):
+        # negate Delta_(f_u) for u = 201 only
+        out = apply(self, x)
+        if self.f.target == (101, 102, 201):
+            return {k: -c for k, c in out.items()}
+        return out
+
+    monkeypatch.setattr(CooperadMap, "apply", flipped)
+    assert not coassociativity_check(f, g)
+    assert not _coassociativity_oracle(f, g)
 
 
 def test_eta_examples_and_splitting():
@@ -243,6 +343,63 @@ def test_jacobi():
     assert rep["alternating_sum_zero"]
     assert rep["kernel_dim"] == 1
     assert rep["kernel_vector_in_span"]
+
+
+@lru_cache(maxsize=None)
+def _pairing_matrices(n: int) -> dict:
+    """{e: (basic forests in forest_mu_key order, the full matrix of
+    pairing(partner i, forest j))}: the N^2 oracle."""
+    labels = tuple(range(1, n))
+    out = {}
+    for e in range(1, len(labels) // 2 + 1):
+        fs = sorted(enumerate_basic_forests(labels, e), key=forest_mu_key)
+        if fs:
+            partners = [canonical_ternary_forest(F) for F in fs]
+            out[e] = fs, [[pairing(G, F) for F in fs] for G in partners]
+    return out
+
+
+def _certificate_oracle(n: int) -> dict:
+    report = {"n": n, "degrees": {}, "triangular": True}
+    for e, (fs, mat) in _pairing_matrices(n).items():
+        ok = all(mat[i][i] in (1, -1) and not any(mat[i][:i])
+                 for i in range(len(fs)))
+        report["degrees"][e] = {"size": len(fs), "unit_diagonal_triangular": ok}
+        if e <= 2 and len(fs) <= 16:
+            report["degrees"][e]["matrix"] = mat
+        report["triangular"] = report["triangular"] and ok
+    return report
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_certificate_matches_oracle(n):
+    assert triangular_pairing_certificate(n) == _certificate_oracle(n)
+
+
+@pytest.mark.parametrize("n", [5, 6, 7])
+def test_pairing_support_is_the_nonzero_set(n):
+    for fs, mat in _pairing_matrices(n).values():
+        position = {F.edges: j for j, F in enumerate(fs)}
+        for F, row in zip(fs, mat):
+            support = list(pairing_support(canonical_ternary_forest(F)))
+            assert len(set(support)) == len(support)
+            found = {position[edges] for edges in support if edges in position}
+            assert found == {j for j, v in enumerate(row) if v}
+            assert all(row[j] in (1, -1) for j in found)
+
+
+def test_certificate_fails_in_reversed_order(monkeypatch):
+    class Reversed:
+        def __init__(self, F):
+            self.key = forest_mu_key(F)
+
+        def __lt__(self, other):
+            return other.key < self.key
+
+    monkeypatch.setattr(operad, "forest_mu_key", Reversed)
+    rep = triangular_pairing_certificate(6)
+    assert rep["triangular"] is False
+    assert rep["degrees"][2]["unit_diagonal_triangular"] is False
 
 
 @pytest.mark.parametrize("n", [5, 6, 7])
