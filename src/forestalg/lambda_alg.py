@@ -405,15 +405,14 @@ def quad_tri_span_match(n: int) -> bool:
     """The substituted quad quadratic relations and the tri relations span
     the same degree-2 subspace over Q (containment and equal rank, by exact
     elimination: ``linalg.same_rational_span``); with the unimodularity
-    certificate this transports every degree >= 2 dimension between the
-    presentations."""
+    certificate, whose rank is that of the substitution's kernel, this
+    transports every degree >= 2 dimension between the presentations."""
     if n < 5:
         return True  # no quadratic relations on either side below five labels
-    _, divisors = _quad_linear_data(n)
-    if any(d != 1 for d in divisors):
-        return False
     quad = Presentation("quad", range(1, n + 1))
     tri = Presentation("tri", range(1, n))
+    if _quad_linear_data(n)[1] != (1,) * (len(quad.universe) - len(tri.universe)):
+        return False
     return same_rational_span(
         [quad_to_tri(r, quad, tri).terms for r in quad.quadratic_relations()],
         [r.terms for r in tri.relations()])
@@ -511,18 +510,18 @@ def _basic_forests(variant: str, labels: tuple, degree: int) -> dict:
 
 @lru_cache(maxsize=None)
 def _degree_slice(variant: str, labels: tuple, degree: int):
-    p = Presentation(variant, labels)
     if variant == "quad":
-        return ideal_slice(p.relations(), degree, p.universe)
+        raise ValueError("degree slices apply to 3-index variants")
+    p = Presentation(variant, labels)
     basics = _basic_forests(variant, labels, degree)
     columns = [m for m in p.universe.monomials(degree) if m not in basics]
     return ideal_slice(p.relations(), degree, p.universe, columns + [*basics])
 
 
 def degree_slice(p: Presentation, degree: int):
-    """The degree slice over Q of the relation ideal of p (cached).  For the
-    3-index variants its columns are the other monomials in increasing
-    order, then the basic-forest monomials in increasing order."""
+    """The degree slice over Q of the relation ideal of p (cached), for
+    3-index variants only.  Its columns are the other monomials in
+    increasing order, then the basic-forest monomials in increasing order."""
     return _degree_slice(p.variant, p.labels, degree)
 
 

@@ -19,7 +19,8 @@ from itertools import combinations, permutations
 from .forests import (TernaryForest, _eval_sign, canonical_ternary_forest,
                       enumerate_basic_forests, forest_mu_key, pairing,
                       pairing_support, tree_internal_nodes, tree_leaves)
-from .lambda_alg import Presentation, degree_slice
+from . import lambda_alg
+from .lambda_alg import Presentation, forest_normal_form, quad_to_tri
 from .skewpoly import SkewPoly, mul_monomials, perm_sign
 
 
@@ -157,29 +158,50 @@ class CooperadMap:
         return out
 
     def tensor_is_zero_in_quotient(self, tensor: dict[tuple, object]) -> bool:
-        """Expand every slot entry in its quotient normal form and check the
-        whole sum cancels (the slot reductions are degree-preserving linear
-        maps, so no Koszul bookkeeping arises)."""
+        """Expand every slot entry in basic-forest coordinates and check that
+        the whole sum cancels.
+
+        Relabelling a slot's k labels to 1..k in order keeps every generator
+        id and sign, so a slot's gid tuple is already its monomial on 1..k.
+        A tri slot goes straight to ``forest_normal_form`` on tri 1..k; a
+        quad slot first maps through ``quad_to_tri`` onto tri on 1..k-1
+        (the substitution depends on k alone, so the slot's own presentation
+        stands for quad on 1..k).
+
+        Lemma.  The substitution phi of ``quad_to_tri`` maps the free quad
+        exterior algebra onto the free tri one, and its kernel is the ideal
+        of the linear relations (their divisors are all 1, and their rank is
+        that of phi's kernel).  For k >= 5, ``quad_tri_span_match(k)`` says
+        that phi maps the quad quadratic relations onto the span of the tri
+        relations.  So phi(I_quad) = I_tri, and x lies in I_quad exactly when
+        phi(x) lies in I_tri.  Each slot's coordinate map is thus an
+        isomorphism of its quotient onto the basic-forest span, and so is
+        their tensor product: the tensor is zero in the quotient exactly
+        when its coordinates cancel.  The maps preserve degree, so no Koszul
+        bookkeeping arises.
+        """
+        quad = self.flavor == "quad"
+        if quad:
+            for k in sorted({pres.n for pres in self.slots}):
+                if not lambda_alg.quad_tri_span_match(k):
+                    raise AssertionError(f"quad/tri spans differ on {k} labels")
+        tri = [Presentation("tri", range(1, pres.n if quad else pres.n + 1))
+               for pres in self.slots]
         acc: dict[tuple, object] = {}
         for key, coeff in tensor.items():
-            expansions = []
-            for slot, mono in enumerate(key):
-                if not mono:
-                    expansions.append([((), 1)])
-                    continue
-                pres = self.slots[slot]
-                sl = degree_slice(pres, len(mono))
-                nf = sl.reduce(SkewPoly({mono: 1}))
-                expansions.append(sorted(nf.terms.items()))
             stack = [((), coeff)]
-            for exp in expansions:
-                stack = [(k + (m,), c * c2) for k, c in stack for m, c2 in exp]
-            for k, c in stack:
-                v = acc.get(k, 0) + c
+            for pres, p, mono in zip(self.slots, tri, key):
+                x = SkewPoly({mono: 1})
+                if quad:
+                    x = quad_to_tri(x, pres, p)
+                nf = forest_normal_form(x, p).items()
+                stack = [(fs + (f,), c * c2) for fs, c in stack for f, c2 in nf]
+            for fs, c in stack:
+                v = acc.get(fs, 0) + c
                 if v:
-                    acc[k] = v
+                    acc[fs] = v
                 else:
-                    acc.pop(k, None)
+                    acc.pop(fs, None)
         return not acc
 
 

@@ -271,9 +271,6 @@ class IdealSlice:
         row = self.echelon.reduce({self.col_of[m]: c for m, c in p.terms.items()})
         return SkewPoly({self.columns[c]: v for c, v in row.items()})
 
-    def contains(self, p: SkewPoly) -> bool:
-        return not self.reduce(p).terms
-
 
 def slice_rows(relations: list[SkewPoly], degree: int,
                universe: GeneratorUniverse, columns=None, products=None):

@@ -283,6 +283,25 @@ def _rational_span_match(n):
 def test_quad_tri_span_match_against_rational_elimination(n):
     assert _rational_span_match(n)
     assert quad_tri_span_match(n)
+    # the substitution kills every linear relation, as the rank check implies
+    quad = Presentation("quad", range(1, n + 1))
+    tri = Presentation("tri", range(1, n))
+    assert not any(quad_to_tri(r, quad, tri) for r in quad.linear_relations())
+
+
+@pytest.mark.parametrize("spoil", [lambda d: d[:-1], lambda d: d[:-1] + (2,)],
+                         ids=["rank-short", "non-unit"])
+def test_quad_tri_span_match_needs_unimodular_full_rank(monkeypatch, spoil):
+    real = lambda_alg._quad_linear_data
+    monkeypatch.setattr(lambda_alg, "_quad_linear_data",
+                        lambda n: (real(n)[0], spoil(real(n)[1])))
+    quad_tri_span_match.cache_clear()
+    try:
+        assert not quad_tri_span_match(6)
+    finally:
+        monkeypatch.undo()
+        quad_tri_span_match.cache_clear()
+    assert quad_tri_span_match(6)
 
 
 def tri_to_quad(x: SkewPoly, tri: Presentation, quad: Presentation) -> SkewPoly:
@@ -313,7 +332,7 @@ def test_quad_tri_isomorphism_roundtrip():
     back = quad_to_tri(y, quad, tri)
     again = tri_to_quad(back, quad=quad, tri=tri)
     sl = ideal_slice(quad.relations(), 1, quad.universe)
-    assert sl.contains(y - again)
+    assert not sl.reduce(y - again).terms
     assert quad_to_tri(Poly.zero(), quad, tri) == Poly.zero()
 
 
@@ -503,6 +522,11 @@ def test_free_slice_columns_are_the_basic_monomials(variant):
             assert free == basics == sl.columns[len(sl.columns) - len(basics):]
             natural = _two_echelon_basis(variant, p.labels, d)[1]
             assert sl.quotient_dimension() == natural.quotient_dimension()
+
+
+def test_degree_slice_refuses_quad():
+    with pytest.raises(ValueError, match="3-index variants"):
+        lambda_alg.degree_slice(Presentation("quad", range(1, 6)), 1)
 
 
 def test_normal_form_worker_reproduces_the_smoke_digest():

@@ -1,9 +1,10 @@
 import random
 from functools import lru_cache
+from unittest.mock import patch
 
 import pytest
 
-from forestalg import operad
+from forestalg import acceptance, clear_caches, lambda_alg, operad
 from forestalg.forests import (TernaryForest, TriangleGraph,
                                canonical_ternary_forest,
                                enumerate_basic_forests, forest_mu_key,
@@ -15,7 +16,7 @@ from forestalg.operad import (CooperadMap, FiniteMap, coassociativity_check,
                               random_composable_pair,
                               relations_map_to_relations, tau_compose,
                               triangular_pairing_certificate)
-from forestalg.skewpoly import SkewPoly
+from forestalg.skewpoly import SkewPoly, ideal_slice
 from skewpoly_oracle import Poly, term
 
 
@@ -111,6 +112,119 @@ def test_relation_preservation():
         f2 = FiniteMap.make({1: 101, 2: 101, 3: 102, 4: 102, 5: 103, 6: 103},
                             target=(101, 102, 103))
         assert relations_map_to_relations(f2, flavor)
+
+
+@lru_cache(maxsize=None)
+def _oracle_slice(variant: str, labels: tuple, degree: int):
+    p = Presentation(variant, labels)
+    return ideal_slice(p.relations(), degree, p.universe)
+
+
+def _zero_oracle(cm: CooperadMap, tensor: dict) -> bool:
+    """tensor_is_zero_in_quotient as first written: each slot monomial is
+    reduced in a Q slice of its own quad or tri relations, with no
+    change of presentation."""
+    acc = {}
+    for key, coeff in tensor.items():
+        stack = [((), coeff)]
+        for pres, mono in zip(cm.slots, key):
+            if mono:
+                sl = _oracle_slice(pres.variant, pres.labels, len(mono))
+                exp = sl.reduce(SkewPoly({mono: 1})).terms.items()
+            else:
+                exp = [((), 1)]
+            stack = [(k + (m,), c * c2) for k, c in stack for m, c2 in exp]
+        for k, c in stack:
+            v = acc.get(k, 0) + c
+            if v:
+                acc[k] = v
+            else:
+                acc.pop(k, None)
+    return not acc
+
+
+@lru_cache(maxsize=None)
+def _criterion_9_maps() -> tuple:
+    """The (map, flavor) pairs of criterion 9's relation preservation, in
+    call order, recorded from a run of the criterion."""
+    calls = []
+
+    def record(f, flavor="quad"):
+        calls.append((f, flavor))
+        return True
+
+    with patch.object(operad, "relations_map_to_relations", record):
+        acceptance.criterion_9_operad()
+    assert len(calls) == 24
+    return tuple(calls)
+
+
+def _relation_image_keys(cm: CooperadMap) -> list:
+    return sorted({key for r in cm.source.relations() for key in cm.apply(r)})
+
+
+def test_slot_zero_test_matches_slice_oracle():
+    nonzero = 0
+    for f, flavor in _criterion_9_maps():
+        cm = CooperadMap(f, flavor)
+        for key in _relation_image_keys(cm):
+            got = cm.tensor_is_zero_in_quotient({key: 1})
+            assert got == _zero_oracle(cm, {key: 1}), (f, flavor, key)
+            nonzero += not got
+    assert nonzero  # the comparison is not vacuous
+
+
+@pytest.mark.parametrize("flavor", ["quad", "tri"])
+def test_nonzero_tensors_are_not_zero(flavor):
+    f = FiniteMap.make({1: 101, 2: 101, 3: 101, 4: 101, 5: 101, 6: 102},
+                       target=(101, 102))
+    cm = CooperadMap(f, flavor)
+    # a relation image less one of its keys that is nonzero on its own
+    dropped = 0
+    for r in cm.source.relations():
+        image = cm.apply(r)
+        for key in sorted(image):
+            if not _zero_oracle(cm, {key: 1}):
+                rest = {k: c for k, c in image.items() if k != key}
+                assert not cm.tensor_is_zero_in_quotient(rest)
+                assert not _zero_oracle(cm, rest)
+                dropped += 1
+                break
+    assert dropped
+    # a lone basic-forest monomial in the first fibre slot
+    top = (101,) if flavor == "quad" else ()
+    gid, _ = cm.slots[1].universe.gen_id((1, 2, 3) + top)
+    lone = {((), (gid,), ()): 1}
+    assert not cm.tensor_is_zero_in_quotient(lone)
+    assert not _zero_oracle(cm, lone)
+
+
+def test_quad_slots_require_the_span_match(monkeypatch):
+    # the spans match trivially below five labels, with no quadratic relations
+    monkeypatch.setattr(lambda_alg, "quad_tri_span_match", lambda n: n < 5)
+    cm = CooperadMap(F1, "quad")  # its first fibre slot has 5 labels
+    with pytest.raises(AssertionError, match="spans differ on 5 labels"):
+        cm.tensor_is_zero_in_quotient({((), (0,), ()): 1})
+    with pytest.raises(AssertionError):
+        relations_map_to_relations(F1, "quad")
+    # slots of at most four labels and tri slots need no span match
+    small = FiniteMap.make({1: 101, 2: 101, 3: 102, 4: 102}, target=(101, 102))
+    assert relations_map_to_relations(small, "quad")
+    assert relations_map_to_relations(F1, "tri")
+
+
+def test_relation_preservation_is_independent_of_order_and_caches():
+    maps = _criterion_9_maps()
+    want = []
+    for f, flavor in maps:
+        cm = CooperadMap(f, flavor)
+        want.append(all(_zero_oracle(cm, cm.apply(r))
+                        for r in cm.source.relations()))
+    clear_caches()
+    forward = [relations_map_to_relations(f, flavor) for f, flavor in maps]
+    backward = [relations_map_to_relations(f, flavor)
+                for f, flavor in reversed(maps)]
+    assert forward == backward[::-1] == want
 
 
 def test_coassociativity_fixed_and_singleton_fibers():
