@@ -18,7 +18,7 @@ P = basic_forest_egf(8)
 print(f"{'n':>3} {'computed dimensions':<28} {'product formula':<28} egf row")
 for n in range(3, 9):
     pres = Presentation("tri", range(1, n))
-    dims = hilbert_polynomial(pres, check_formula=False)
+    dims = hilbert_polynomial(pres)
     formula = odd_square_product_poly(n - 1)
     want = [formula.get(d, 0) for d in range(max(formula) + 1)]
     egf_row = [int(P.coefficient(n - 1, d) * factorial(n - 1))
@@ -29,8 +29,7 @@ for n in range(3, 9):
 print()
 print("the four-index presentation agrees after eliminating its linear relations:")
 for n in (5, 6, 7):
-    quad = hilbert_polynomial(Presentation("quad", range(1, n + 1)),
-                              check_formula=False)
+    quad = hilbert_polynomial(Presentation("quad", range(1, n + 1)))
     print(f"  n={n}: {quad}")
 
 print()

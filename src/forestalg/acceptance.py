@@ -30,9 +30,9 @@ def criterion_1_hilbert(n_max: int = 9) -> dict:
         ok = True
         for n in range(3, n_max + 1):
             tri = lambda_alg.hilbert_polynomial(
-                lambda_alg.Presentation("tri", range(1, n)), check_formula=False)
+                lambda_alg.Presentation("tri", range(1, n)))
             quad = lambda_alg.hilbert_polynomial(
-                lambda_alg.Presentation("quad", range(1, n + 1)), check_formula=False)
+                lambda_alg.Presentation("quad", range(1, n + 1)))
             formula = odd_square_product_poly(n - 1)
             want = [formula.get(d, 0) for d in range(max(formula) + 1)]
             good = tri == want and quad == want
@@ -98,10 +98,13 @@ def criterion_3_freeness(n_max: int = 8) -> dict:
     """No nontrivial elementary divisors in the integral slices (blocked,
     plus the linear-relation lattice of the quad presentation), and 2 times
     the six-index family lies in the ideal of the other two over Z for
-    n = 6, 7 while the family itself does not: both proved from the Smith
-    divisors of the degree-2 slice and its mod-2 span
-    (``_doubles_and_members``).  A membership the divisors leave undecided
-    reads null and fails the criterion."""
+    n = 6, 7 while the family itself does not.  Tree blocks are free by the
+    unit pivots of the Q echelon that gave their dimension
+    (``block_dimension``), the linear lattice by its Smith divisors, and
+    the memberships follow from the Smith divisors of the degree-2 slice and
+    its mod-2 span (``_doubles_and_members``).  A block without unit pivots
+    lists null divisors, and an undecided membership reads null; either
+    fails the criterion."""
     def run():
         ok = True
         divisor_rows = {}
@@ -112,9 +115,8 @@ def criterion_3_freeness(n_max: int = 8) -> dict:
                 if s % 2 == 0:
                     continue
                 e = (s - 1) // 2
-                _, div = lambda_alg.block_dimension("tri", s, e, with_divisors=True)
-                if any(d != 1 for d in div):
-                    bad.append((s, e, div))
+                if not lambda_alg.block_dimension("tri", s, e)[1]:
+                    bad.append((s, e, None))
             if n >= 4:
                 _, lin_div = lambda_alg._quad_linear_data(n)
                 if any(d != 1 for d in lin_div):
@@ -151,7 +153,7 @@ def criterion_4_basis(n_max: int = 9, pairing_max: int = 8) -> dict:
             good = True
             per_degree = {}
             dims = lambda_alg.hilbert_polynomial(
-                lambda_alg.Presentation("tri", labels), check_formula=False)
+                lambda_alg.Presentation("tri", labels))
             for d in range(len(dims)):
                 cnt = forests.count_basic_forests(labels, d)
                 per_degree[d] = {"basic": cnt, "dim": dims[d]}

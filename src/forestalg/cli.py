@@ -73,7 +73,7 @@ def cmd_hilbert(args) -> int:
     pres = lambda_alg.Presentation(args.variant, range(1, args.n)
                                    if args.variant != "quad"
                                    else range(1, args.n + 1))
-    dims = lambda_alg.hilbert_polynomial(pres, check_formula=False)
+    dims = lambda_alg.hilbert_polynomial(pres)
     formula = series.odd_square_product_poly(args.n - 1)
     want = [formula.get(d, 0) for d in range(max(formula) + 1)]
     report = {"n": args.n, "variant": args.variant, "poincare": dims,
@@ -88,7 +88,7 @@ def cmd_basis(args) -> int:
         _at_least(args.degree, 0, "--degree")
     labels = tuple(range(1, args.n))
     pres = lambda_alg.Presentation("tri", labels)
-    dims = lambda_alg.hilbert_polynomial(pres, check_formula=False)
+    dims = lambda_alg.hilbert_polynomial(pres)
     degrees = [args.degree] if args.degree is not None else list(range(len(dims)))
     table = {}
     ok = True

@@ -6,10 +6,10 @@ ordered keys, such as the monomial tuples of one degree).  There are three
 kernels:
 
 - ``FieldEchelon``, over Q, behind every ideal slice (whose residues are
-  the coordinates over a certified basis), every field rank and the span
-  certificate ``same_rational_span``;
+  the coordinates over a certified basis), every field rank, the span
+  certificate ``same_rational_span`` and freeness by unit pivots;
 - ``_eliminate``, the unit-first unimodular elimination behind the Smith
-  divisors and the integer kernels; every fact over Z (freeness, lattice
+  divisors and the integer kernels; every other fact over Z (lattice
   equality, membership) is read off Smith divisors;
 - ``BitEchelon``, rows packed as ints, for the F_2 ranks of the Bockstein
   and the mod-2 step of an integer membership certificate.
@@ -58,10 +58,21 @@ class FieldEchelon:
     entries (integral quotients stay ``int``); they spread to the rows reduced
     against that pivot.  Ranks, pivot columns and residues are the same
     rational values as an all-``Fraction`` elimination.
+
+    ``unit_pivots`` stays True while every row given to ``add`` is integral
+    and every pivot leads with +-1.  Lemma: then Z^N modulo the lattice L
+    of the added rows is free (every elementary divisor is 1).  With unit
+    leads every reduction multiplier is an entry of an integral row, so by
+    induction the pivots are integral, each lies in L, and each row is an
+    integer combination of pivots: they span L.  With the unit vectors of
+    the free columns, ordered by lead, they form a unit upper-triangular
+    basis of Z^N that contains a basis of L.  So only the leads and the
+    input entries need checking.
     """
 
     def __init__(self):
         self.pivots: dict[int, dict] = {}
+        self.unit_pivots = True
 
     @property
     def rank(self) -> int:
@@ -94,6 +105,10 @@ class FieldEchelon:
 
     def add(self, row: dict) -> bool:
         """Reduce and insert; True iff the rank grew."""
+        # a sum of ints is an int; one Fraction among them makes it a Fraction
+        if self.unit_pivots and type(sum(row.values())) is not int:
+            self.unit_pivots = all(Fraction(v).denominator == 1
+                                   for v in row.values())
         row = self.reduce(row)
         if not row:
             return False
@@ -102,6 +117,7 @@ class FieldEchelon:
         if lv == -1:
             row = {c: -v for c, v in row.items()}
         elif lv != 1:
+            self.unit_pivots = False
             row = {c: _rational(Fraction(v) / lv) for c, v in row.items()}
         self.pivots[lead] = row
         return True

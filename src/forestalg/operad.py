@@ -164,9 +164,8 @@ class CooperadMap:
         Relabelling a slot's k labels to 1..k in order keeps every generator
         id and sign, so a slot's gid tuple is already its monomial on 1..k.
         A tri slot goes straight to ``forest_normal_form`` on tri 1..k; a
-        quad slot first maps through ``quad_to_tri`` onto tri on 1..k-1
-        (the substitution depends on k alone, so the slot's own presentation
-        stands for quad on 1..k).
+        quad slot first maps through ``quad_to_tri(x, k)`` onto tri on
+        1..k-1 (the substitution depends on k alone).
 
         Lemma.  The substitution phi of ``quad_to_tri`` maps the free quad
         exterior algebra onto the free tri one, and its kernel is the ideal
@@ -193,7 +192,7 @@ class CooperadMap:
             for pres, p, mono in zip(self.slots, tri, key):
                 x = SkewPoly({mono: 1})
                 if quad:
-                    x = quad_to_tri(x, pres, p)
+                    x = quad_to_tri(x, pres.n)
                 nf = forest_normal_form(x, p).items()
                 stack = [(fs + (f,), c * c2) for fs, c in stack for f, c2 in nf]
             for fs, c in stack:

@@ -246,7 +246,7 @@ def odd_square_product_poly(m: int) -> dict[int, int]:
     """
     poly = {0: 1}
     k = 0
-    while k < Fraction(m - 2, 2):
+    while 2 * k < m - 2:
         sq = (m - 2 - 2 * k) ** 2
         nxt = dict(poly)
         for d, c in poly.items():

@@ -9,7 +9,8 @@ monomials and relation families, and the forest bases all build theirs
 through it.  An element is its coefficient dict, each coefficient an int or
 a Fraction; the package builds elements from words and never multiplies two
 of them.  Ideal slices realize a homogeneous ideal degree by degree as a
-row space: echelonized over Q, or handed to Smith over Z.
+row space: echelonized over Q, whose unit pivots certify freeness over Z,
+or handed as rows to Smith over Z.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations
 
-from .linalg import FieldEchelon, smith_divisors
+from .linalg import FieldEchelon
 from .rings import ZZ
 
 
@@ -112,12 +113,6 @@ class GeneratorUniverse:
     def monomials(self, degree: int):
         """All strictly increasing gid tuples of the given length."""
         return combinations(range(len(self.tuples)), degree)
-
-    def support(self, monomial: tuple[int, ...]) -> frozenset:
-        out = set()
-        for gid in monomial:
-            out.update(self.tuples[gid])
-        return frozenset(out)
 
 
 def mul_monomials(a: tuple[int, ...], b: tuple[int, ...]):
@@ -246,8 +241,8 @@ def poly_from_json_terms(ring, universe: GeneratorUniverse, data) -> SkewPoly:
 class IdealSlice:
     """Echelonized degree-d component over Q of the ideal spanned by
     homogeneous relations: span{m * r} over monomial multipliers m of
-    complementary degree, as a field echelon.  The elementary divisors of
-    the same rows over Z come from Smith, in ``quotient_dimension``."""
+    complementary degree, as a field echelon (whose ``unit_pivots``
+    certify that the quotient of the same rows over Z is free)."""
 
     def __init__(self, degree: int, columns: list[tuple], echelon: FieldEchelon):
         self.degree = degree
@@ -339,18 +334,3 @@ def ideal_slice(relations: list[SkewPoly], degree: int,
     for row in rows:
         echelon.add(row)
     return IdealSlice(degree, columns, echelon)
-
-
-def quotient_dimension(relations, degree, universe, columns=None,
-                       products=None, with_divisors=False):
-    """Dimension of (degree-d monomial span)/(ideal slice) over Q; with
-    ``with_divisors``, (the same dimension, the elementary divisors of the
-    slice over Z: the torsion certificate), both from one Smith form of the
-    integer rows, whose rank is the rank over Q.  There a relation with a
-    non-integral coefficient is a ValueError, from Smith's entry check."""
-    if not with_divisors:
-        return ideal_slice(relations, degree, universe, columns,
-                           products).quotient_dimension()
-    columns, rows = slice_rows(relations, degree, universe, columns, products)
-    rank, divisors = smith_divisors(list(rows))
-    return len(columns) - rank, divisors

@@ -3,7 +3,9 @@ tolerances, one printed verdict line per criterion."""
 
 import pytest
 
-from forestalg import acceptance
+from forestalg import (acceptance, clear_caches, lambda_alg, poset_homology,
+                       skewpoly)
+from forestalg.skewpoly import SkewPoly
 
 
 def _report(rep):
@@ -32,6 +34,57 @@ def test_criterion_3_freeness_and_torsion():
     assert rep["six_index_membership"][6]["2x_in_ideal"]
     assert rep["six_index_membership"][7]["2x_in_ideal"]
     assert not rep["six_index_membership"][6]["1x_in_ideal"]
+
+
+def test_criterion_3_reports_a_block_without_unit_pivots(monkeypatch):
+    # doubled tri relations span the same Q space, so the (5, 2) block keeps
+    # its dimension 9, but its pivots lead with 2: undecided, and failing
+    real = lambda_alg._relations_cached
+
+    def doubled(variant, labels):
+        rels = real(variant, labels)
+        if variant != "tri":
+            return rels
+        return [SkewPoly({m: 2 * c for m, c in r.terms.items()}) for r in rels]
+
+    monkeypatch.setattr(lambda_alg, "_relations_cached", doubled)
+    lambda_alg.block_dimension.cache_clear()
+    try:
+        assert lambda_alg.block_dimension("tri", 5, 2) == (9, False)
+        rep = acceptance.criterion_3_freeness(n_max=6)
+    finally:
+        monkeypatch.undo()
+        clear_caches()
+    assert not rep["pass"]
+    assert rep["divisors"] == {3: [], 4: [], 5: [], 6: [(5, 2, None)]}
+    assert lambda_alg.block_dimension("tri", 5, 2) == (9, True)
+
+
+def test_criterion_3_reads_freeness_off_criterion_1s_blocks(monkeypatch):
+    # one Q elimination per block serves both criteria; Smith runs only on
+    # the quad linear lattices and the six-index memberships
+    smith_calls = []
+    for module in (acceptance, lambda_alg, poset_homology):
+        real = module.smith_divisors
+        monkeypatch.setattr(
+            module, "smith_divisors",
+            lambda rows, module=module, real=real:
+            smith_calls.append(module.__name__) or real(rows))
+    assert not hasattr(skewpoly, "smith_divisors")
+    clear_caches()
+    assert acceptance.criterion_1_hilbert(n_max=8)["pass"]
+    after_1 = lambda_alg.block_dimension.cache_info()
+    assert after_1.misses == after_1.currsize
+    rep = acceptance.criterion_3_freeness(n_max=8)
+    assert rep["pass"]
+    assert rep["divisors"] == {n: [] for n in range(3, 9)}
+    after_3 = lambda_alg.block_dimension.cache_info()
+    assert after_3.misses == after_1.misses
+    assert after_3.hits > after_1.hits
+    quad_lattices = lambda_alg._quad_linear_data.cache_info().currsize
+    assert smith_calls.count("forestalg.lambda_alg") == quad_lattices == 6
+    assert smith_calls.count("forestalg.acceptance") == 4  # n = 6, 7, twice
+    assert len(smith_calls) == quad_lattices + 4
 
 
 def test_criterion_4_basic_forest_basis():

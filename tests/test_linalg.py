@@ -30,6 +30,25 @@ def test_field_echelon_rank_and_reduce():
     assert not ech.contains({2: 1})
 
 
+def test_unit_pivot_certificate():
+    def certified(rows):
+        ech = FieldEchelon()
+        ech.extend(rows)
+        return ech.unit_pivots
+
+    assert certified([{0: 1, 1: 2}, {0: -1, 1: -3, 2: 5}, {1: 2, 2: -10}])
+    assert certified([{0: Fraction(-1), 1: Fraction(4, 2)}])
+    assert not certified([{0: 1, 1: Fraction(1, 2)}])  # lead 1, entry 1/2
+    # a non-integral row clears it even when it reduces to zero
+    assert not certified([{0: 1, 1: 1}, {0: Fraction(1, 2), 1: Fraction(1, 2)}])
+    assert not certified([{0: 1, 1: 1}, {0: 1, 1: 3}])  # reduces to lead 2
+    assert smith_divisors([{0: 1, 1: 1}, {0: 1, 1: 3}]) == (2, [1, 2])
+    # it is sufficient, not necessary: the row (2, 1) is primitive, so its
+    # quotient is free, but its lead is 2; False means undecided
+    assert not certified([{0: 2, 1: 1}])
+    assert smith_divisors([{0: 2, 1: 1}]) == (1, [1])
+
+
 def test_field_echelon_same_span():
     a = FieldEchelon()
     a.extend([{0: 1, 1: 1}, {1: 1, 2: 1}])

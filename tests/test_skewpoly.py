@@ -4,12 +4,13 @@ from itertools import permutations
 
 import pytest
 
+from forestalg import lambda_alg
 from forestalg.lambda_alg import Presentation
 from forestalg.linalg import smith_divisors
 from forestalg.rings import QQ, ZZ
 from forestalg.skewpoly import (GeneratorUniverse, SkewPoly, ideal_slice,
                                 mul_monomials, perm_sign, poly_from_json_terms,
-                                quotient_dimension, slice_rows)
+                                slice_rows)
 from skewpoly_oracle import Poly, partial_derivation, term
 
 
@@ -173,12 +174,10 @@ def test_partial_derivation():
 
 
 def test_quotient_dimension_examples():
-    p5 = Presentation("tri", range(1, 5))       # four labels
-    assert quotient_dimension(p5.relations(), 1, p5.universe) == 4
-    p6 = Presentation("tri", range(1, 6))
-    assert quotient_dimension(p6.relations(), 2, p6.universe) == 9
-    p7 = Presentation("tri", range(1, 7))
-    assert quotient_dimension(p7.relations(), 2, p7.universe) == 64
+    for labels, degree, want in ((4, 1, 4), (5, 2, 9), (6, 2, 64)):
+        p = Presentation("tri", range(1, labels + 1))
+        sl = ideal_slice(p.relations(), degree, p.universe)
+        assert sl.quotient_dimension() == want
 
 
 def test_integer_relations_give_integer_rational_slice():
@@ -200,17 +199,21 @@ def _as_fractions(relations):
 
 
 def test_smith_refuses_a_non_integral_relation():
-    """The Smith boundary takes relations as they are: integral Fractions
-    pass, and a 1/2 coefficient is a ValueError from Smith's entry check."""
+    """Relations are taken as they are: integral Fractions keep the unit-pivot
+    certificate and Smith's answer, and a 1/2 coefficient clears the
+    certificate and is a ValueError from Smith's entry check."""
     p = Presentation("tri", range(1, 6))
     rels = p.relations()
-    want = quotient_dimension(rels, 2, p.universe, with_divisors=True)
-    assert quotient_dimension(_as_fractions(rels), 2, p.universe,
-                              with_divisors=True) == want
+    as_fractions = ideal_slice(_as_fractions(rels), 2, p.universe)
+    assert as_fractions.echelon.unit_pivots
+    assert as_fractions.quotient_dimension() == 9
+    want = smith_divisors(list(slice_rows(rels, 2, p.universe)[1]))
+    assert smith_divisors(list(slice_rows(_as_fractions(rels), 2,
+                                          p.universe)[1])) == want
     half = SkewPoly({m: Fraction(c, 2) for m, c in rels[-1].terms.items()})
-    with pytest.raises(ValueError, match="not an integer"):
-        quotient_dimension(rels[:-1] + [half], 2, p.universe,
-                           with_divisors=True)
+    halved = ideal_slice(rels[:-1] + [half], 2, p.universe)
+    assert halved.quotient_dimension() == 9
+    assert not halved.echelon.unit_pivots
     _, rows = slice_rows([half], 2, p.universe)  # rows are built as they are
     with pytest.raises(ValueError, match="not an integer"):
         smith_divisors(list(rows))
@@ -240,12 +243,49 @@ def test_reduce_projection_properties():
 
 
 def test_gf2_and_integer_slices_agree_on_free_quotients():
+    # the full degree-2 tri slice on five labels: the Q echelon's unit
+    # pivots and Smith both say free, with the same rank
     p = Presentation("tri", range(1, 6))
     rels = p.relations()
-    dim_q = quotient_dimension(rels, 2, p.universe)
-    dim_z, div = quotient_dimension(rels, 2, p.universe, with_divisors=True)
-    assert dim_q == dim_z == 9
-    assert all(d == 1 for d in div)
+    sl = ideal_slice(rels, 2, p.universe)
+    columns, rows = slice_rows(rels, 2, p.universe)
+    rank, div = smith_divisors(list(rows))
+    assert sl.quotient_dimension() == len(columns) - rank == 9
+    assert sl.echelon.unit_pivots and set(div) == {1}
+
+
+def _block_slice(variant, size, relations=None):
+    """(Q slice, Smith (rank, divisors)) of the tree block on 1..size, from
+    the same rows."""
+    p = Presentation(variant, range(1, size + 1))
+    columns, products = lambda_alg._tree_block(p)
+    relations = p.relations() if relations is None else relations
+    sl = ideal_slice(relations, size // 2, p.universe, columns, products)
+    _, rows = slice_rows(relations, size // 2, p.universe, columns, products)
+    return sl, smith_divisors(list(rows))
+
+
+@pytest.mark.parametrize("variant", ["tri", "twisted"])
+@pytest.mark.parametrize("size", [3, 5, 7])
+def test_unit_pivots_agree_with_smith_on_tree_blocks(variant, size):
+    sl, (rank, div) = _block_slice(variant, size)
+    assert sl.echelon.unit_pivots
+    assert sl.rank == rank and set(div) <= {1}
+    assert lambda_alg.block_dimension(variant, size, size // 2) == (
+        sl.quotient_dimension(), True)
+
+
+def test_doubled_relations_keep_the_dimension_but_lose_the_certificate():
+    # negative control: 2r for every relation r spans the same space over
+    # Q, but the quotient over Z has 2-torsion, and the lead-2 pivots say
+    # undecided
+    p = Presentation("tri", range(1, 6))
+    doubled = [SkewPoly({m: 2 * c for m, c in r.terms.items()})
+               for r in p.relations()]
+    sl, (rank, div) = _block_slice("tri", 5, doubled)
+    assert sl.quotient_dimension() == 9
+    assert not sl.echelon.unit_pivots
+    assert sl.rank == rank and set(div) == {2}
 
 
 def test_json_round_trip():
