@@ -160,14 +160,24 @@ def _tree_block(p: Presentation):
     number s = 2e+1 of them, in degree e).
 
     The columns are the triangle trees on the labels, as increasing gid
-    tuples in increasing order.  A row m * r meets the block only where m
+    tuples: the non-basic trees in increasing order, then the basic trees
+    (``forests.basic_trees``) in increasing order.  The rank does not
+    depend on the column order, and putting the basic trees last keeps
+    every pivot off them, as in ``_degree_slice``: by the lemma of
+    ``_certified_basis``, when the basic trees form a quotient basis they
+    are exactly the free columns.  A row m * r meets the block only where m
     times a term t of r is a column T, so t lies in T and m = T - t: the
     rows are the distinct (relation index, T - t) over every column T and
     every term t inside it, in the order of the full slice (relation by
     relation, multipliers increasing)."""
     index = p.universe.index
-    columns = sorted(tuple(sorted(index[e] for e in tree))
-                     for tree in forests.triangle_trees(p.labels))
+
+    def gids(trees):
+        return {tuple(sorted(index[e] for e in tree)) for tree in trees}
+
+    basic = gids(forests.basic_trees(p.labels))
+    columns = (sorted(gids(forests.triangle_trees(p.labels)) - basic)
+               + sorted(basic))
     relations = p.relations()
     containing: dict[tuple, list[int]] = {}
     for i, r in enumerate(relations):
@@ -194,9 +204,15 @@ def block_dimension(variant: str, size: int, edges: int) -> tuple[int, bool]:
     Q, on the triangle-tree columns and the rows ``_tree_block`` reads off
     them, the same rows in the same order as a filter over the whole degree
     slice would keep; the echelon's ``unit_pivots`` certifies freeness
-    (False: undecided).  Every other connected block consists of cyclic
-    monomials only (incidence count), and those vanish over Z by the
-    loose-cycle certificate below, whose rewrites have coefficients +-1.
+    (False: undecided).  The columns put the basic trees last.  The rank,
+    and so the dimension, does not depend on the column order; by the
+    lemma of ``_certified_basis`` the basic trees are then exactly the
+    free columns, so every pivot lies on a non-basic tree.  Which pivots
+    lead with +-1 does depend on the order; in this order they all do on
+    the tri blocks through nine labels and the twisted ones through
+    seven.  Every other connected block consists of cyclic monomials only
+    (incidence count), and those vanish over Z by the loose-cycle
+    certificate below, whose rewrites have coefficients +-1.
     Blocks inside a larger label set have the same dimension by relabeling
     (the relation families are stable under label bijections).
     """

@@ -143,11 +143,13 @@ def _dual_block(m: int, d: int) -> tuple[list[tuple], list[dict]]:
     """Words and relation rows of the connected block (m, d), 2d + 1 >= m.
 
     The words are the distinct orderings of the connected, spanning letter
-    multisets, in increasing order.  A row u (x) r (x) w meets the block
-    only where a word of the block has a term (a, b) of r right after u, so
-    the rows are the distinct (relation, position, u, w) read off the
-    adjacent letter pairs of the block's words, in the order of relation,
-    position, u and w: the order of a loop over every placement."""
+    multisets, in decreasing order: the rank does not depend on the column
+    order, and this one eliminates faster at seven labels.  A row
+    u (x) r (x) w meets the block only where a word of the block has a
+    term (a, b) of r right after u, so the rows are the distinct
+    (relation, position, u, w) read off the adjacent letter pairs of the
+    block's words, in the order of relation, position, u and w: the order
+    of a loop over every placement."""
     labels = tuple(range(1, m + 1))
     triples = _triples(labels)
     D = len(triples)
@@ -157,7 +159,7 @@ def _dual_block(m: int, d: int) -> tuple[list[tuple], list[dict]]:
         for multiset in combinations_with_replacement(sorted(letters), d):
             if len(set(multiset)) == len(letters):
                 words.update(permutations(multiset))
-    words = sorted(words)
+    words = sorted(words, reverse=True)
     index = {w: i for i, w in enumerate(words)}
     rel_pairs = [[(divmod(c, D), v) for c, v in r.items()]
                  for r in explicit_dual_rows(labels)]

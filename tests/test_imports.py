@@ -78,7 +78,6 @@ def test_no_unused_private_helpers():
 PAPER_OBJECTS = {
     "__init__.clear_caches":
         "the package's cache reset: answers must not depend on the caches",
-    "forests.basic_trees": "the basic triangle trees on a vertex set",
     "keel.pi_from_d": "the change of basis from the divisors D_S to P_S",
     "keel.d_from_pi": "the change of basis from the generators P_S to D_S",
     "lambda_alg.basic_forest_complex_homology":

@@ -151,15 +151,25 @@ def test_block_dimension_values():
     assert block_dimension("twisted", 5, 2) == (9, True)
 
 
+def _basic_tree_monomials(p):
+    return {p.universe.monomial(sorted(tree))[0]
+            for tree in forests.basic_trees(p.labels)}
+
+
 def _filtered_block(p, edges):
     """Oracle: the connected block on all of p's labels by filtering the
     whole ring: every degree-`edges` monomial whose triangle graph is one
-    component covering the labels, and every relation times every
-    multiplier, in that loop order, kept when a term lands in the block."""
+    component covering the labels, the non-basic ones first and then the
+    basic trees, each part in monomial order; and every relation times
+    every multiplier, in that loop order, kept when a term lands in the
+    block."""
     universe = p.universe
-    columns = [m for m in universe.monomials(edges) if len(
+    connected = [m for m in universe.monomials(edges) if len(
         forests.partition_of_edges([universe.label_tuple(g) for g in m],
                                    universe.labels)) == 1]
+    basic = _basic_tree_monomials(p)
+    columns = ([m for m in connected if m not in basic]
+               + [m for m in connected if m in basic])
     inside = set(columns)
     products = []
     for i, r in enumerate(p.relations()):
@@ -177,6 +187,42 @@ def test_tree_block_matches_the_filtered_ring(variant):
     for size in (3, 5, 7):
         p = Presentation(variant, range(1, size + 1))
         assert lambda_alg._tree_block(p) == _filtered_block(p, size // 2)
+
+
+def _free_columns(p, columns, products):
+    sl = ideal_slice(p.relations(), len(columns[0]), p.universe, columns,
+                     products)
+    free = {m for m, c in sl.col_of.items() if c not in sl.echelon.pivots}
+    return sl, free
+
+
+@pytest.mark.parametrize("variant", ["tri", "twisted"])
+@pytest.mark.parametrize("size", [3, 5, 7])
+def test_tree_block_frees_exactly_the_basic_trees(variant, size):
+    # with the basic trees last, the free columns are the basic trees, the
+    # pivots lead with +-1, and the dimension and certificate are those of
+    # an elimination over the columns in plain increasing order
+    p = Presentation(variant, range(1, size + 1))
+    columns, products = lambda_alg._tree_block(p)
+    basic = _basic_tree_monomials(p)
+    sl, free = _free_columns(p, columns, products)
+    assert free == basic and sl.echelon.unit_pivots
+    oracle, _ = _free_columns(p, sorted(columns), products)
+    assert block_dimension(variant, size, size // 2) == (
+        oracle.quotient_dimension(), oracle.echelon.unit_pivots) == (
+        len(basic), True)
+
+
+@pytest.mark.parametrize("variant", ["tri", "twisted"])
+def test_a_basic_tree_moved_first_is_not_free(variant):
+    # negative control: the column order decides which columns are free;
+    # a basic tree put before the others leads a pivot row
+    p = Presentation(variant, range(1, 6))
+    columns, products = lambda_alg._tree_block(p)
+    moved = columns[-1]
+    _, free = _free_columns(p, [moved] + columns[:-1], products)
+    _, kept = _free_columns(p, columns, products)
+    assert moved in kept and moved not in free and len(free) == len(kept)
 
 
 def test_triangle_tree_count():

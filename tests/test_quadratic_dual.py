@@ -83,11 +83,12 @@ def _filtered_words(m: int, d: int) -> list[tuple]:
 
 
 def _filtered_dual_block(m: int, d: int) -> tuple[list, list]:
-    """Oracle: the words of the block (m, d) and, in loop order over
-    relation, position, u and w, every placement u + r + w of an explicit
-    relation r with a word in the block, as a row over the words."""
+    """Oracle: the words of the block (m, d), in decreasing order, and, in
+    loop order over relation, position, u and w, every placement u + r + w
+    of an explicit relation r with a word in the block, as a row over the
+    words."""
     D = comb(m, 3)
-    words = _filtered_words(m, d)
+    words = _filtered_words(m, d)[::-1]
     index = {w: i for i, w in enumerate(words)}
     rows = []
     for rel in explicit_dual_rows(tuple(range(1, m + 1))):
@@ -116,6 +117,18 @@ def test_dual_block_matches_the_filtered_words():
                 assert not words and dual_block_dimension(m, d) == 0
             else:
                 assert quadratic_dual._dual_block(m, d) == (words, rows)
+
+
+def test_dual_block_dimension_does_not_depend_on_the_word_order():
+    # the block eliminated over its words in increasing order, the order
+    # the words had before they were put in decreasing order
+    for m, d in ((5, 3), (6, 3), (7, 3)):
+        words, rows = quadratic_dual._dual_block(m, d)
+        increasing = {w: i for i, w in enumerate(sorted(words))}
+        ech = FieldEchelon()
+        for row in rows:
+            ech.add({increasing[words[c]]: v for c, v in row.items()})
+        assert dual_block_dimension(m, d) == len(words) - ech.rank
 
 
 def _fraction_block_dimension(m: int, d: int) -> int:
