@@ -100,11 +100,12 @@ def criterion_3_freeness(n_max: int = 8) -> dict:
     the six-index family lies in the ideal of the other two over Z for
     n = 6, 7 while the family itself does not.  Tree blocks are free by the
     unit pivots of the Q echelon that gave their dimension
-    (``block_dimension``), the linear lattice by its Smith divisors, and
-    the memberships follow from the Smith divisors of the degree-2 slice and
-    its mod-2 span (``_doubles_and_members``).  A block without unit pivots
-    lists null divisors, and an undecided membership reads null; either
-    fails the criterion."""
+    (``block_dimension``), the linear lattice by the substitution that
+    kills it (``lambda_alg._quad_linear_data``), and the memberships follow
+    from the Smith divisors of the degree-2 slice and its mod-2 span
+    (``_doubles_and_members``).  A block without unit pivots, or a linear
+    lattice without the certificate, lists null divisors, and an undecided
+    membership reads null; each fails the criterion."""
     def run():
         ok = True
         divisor_rows = {}
@@ -117,10 +118,8 @@ def criterion_3_freeness(n_max: int = 8) -> dict:
                 e = (s - 1) // 2
                 if not lambda_alg.block_dimension("tri", s, e)[1]:
                     bad.append((s, e, None))
-            if n >= 4:
-                _, lin_div = lambda_alg._quad_linear_data(n)
-                if any(d != 1 for d in lin_div):
-                    bad.append(("quad-linear", lin_div))
+            if not lambda_alg._quad_linear_data(n)[1]:
+                bad.append(("quad-linear", None))
             divisor_rows[n] = bad
             ok = ok and not bad
         membership = {}

@@ -269,11 +269,6 @@ class KeelRing:
             return list(monomials)
         return [m for m in monomials if self.degree(m) == degree]
 
-    def canonical_counts(self) -> dict[int, int]:
-        """Number of canonical monomials per degree, by increasing degree,
-        counted without listing them (module function `canonical_counts`)."""
-        return canonical_counts(self.n)
-
     def _anchored(self, support: tuple) -> list[tuple[tuple, int]]:
         """Canonical families whose outermost set is exactly `support`, as
         (items, degree).  `items` is an unsorted tuple of (sid, exponent)

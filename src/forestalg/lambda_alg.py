@@ -11,10 +11,12 @@ actual linear algebra.  A tree block is built from its own columns, the
 triangle trees on its labels, and only the rows that meet them
 (``_tree_block``); a block with a cycle is zero by the loose-cycle lemma of
 ``_assert_cyclic_block_dies``.  The quad presentation has linear relations;
-those are eliminated first (the lattice they span is verified unimodular),
-after which its quadratic relations are compared against the tri
-presentation's span: equality over Q, proved by containment in the tri span
-and equal rank, both by exact elimination over Q.
+those are eliminated first by a substitution onto the tri generators, which
+is certified to kill every one of them, so the lattice they span is its
+kernel, a direct summand (``_quad_linear_data``).  Its quadratic relations
+are then compared against the tri presentation's span: equality over Q,
+proved by containment in the tri span and equal rank, both by exact
+elimination over Q.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from math import gcd, lcm
 
 from . import forests
 from .forests import TriangleGraph
-from .linalg import same_rational_span, smith_divisors
+from .linalg import same_rational_span
 from .poset_homology import _boundary
 from .rings import ZZ, integral
 from .series import assemble_reachable, odd_square_product_poly
@@ -381,16 +383,24 @@ def assembled_dimension(variant: str, n_labels: int, degree: int) -> int:
 
 @lru_cache(maxsize=None)
 def _quad_linear_data(n: int):
-    """(substitution, divisors): substitution maps each quad generator id to
-    a dict {tri gid: coeff} expressing it in the images of the 3-index
-    generators after eliminating the 5-term linear relations; the divisor
-    list certifies the relation lattice is a direct summand (all ones)."""
+    """(substitution, certified): the substitution phi maps each quad
+    generator id to a dict {tri gid: coeff}, its image in the 3-index
+    generators on 1..n-1; ``certified`` says that phi kills the 5-term
+    linear relation of every five-subset of {1..n}.
+
+    A generator through n drops n.  Any other, (a, b, c, d), is solved from
+    the relation of {a, b, c, d, n}: minus the images of the other four
+    generators of that relation, each through n.
+
+    Lemma.  The C(n-1, 4) relations through n each hold exactly one
+    generator without n, with coefficient +-1, so their lattice L0 is a
+    direct summand, complementing the generators with n.  phi sends those
+    one-to-one onto the tri generators, up to sign, and kills L0 by
+    construction, so ker phi = L0.  If the full linear lattice L also lies in ker phi, then
+    L = L0 = ker phi, and the quotient is free on C(n-1, 3) generators.
+    """
     quad = Presentation("quad", range(1, n + 1))
     tri = Presentation("tri", range(1, n))
-    rows = []
-    for r in quad.linear_relations():
-        rows.append({g[0]: int(c) for g, c in r.terms.items()})
-    _, divisors = smith_divisors(rows)
     subst: dict[int, dict[int, int]] = {}
     for gid, tup in enumerate(quad.universe.tuples):
         if n in tup:
@@ -402,32 +412,40 @@ def _quad_linear_data(n: int):
         a, b, c, d = tup
         expr: dict[int, int] = {}
         for w in ((b, c, d, n), (c, d, n, a), (d, n, a, b), (n, a, b, c)):
-            got = quad.universe.gen_id(w)
-            assert got is not None
-            g2, sign = got
+            g2, sign = quad.universe.gen_id(w)
             for tg, s2 in subst[g2].items():
-                v = expr.get(tg, 0) - sign * s2
-                if v:
-                    expr[tg] = v
-                else:
-                    expr.pop(tg, None)
-        subst[gid] = expr
-    return subst, tuple(divisors)
+                expr[tg] = expr.get(tg, 0) - sign * s2
+        subst[gid] = {tg: v for tg, v in expr.items() if v}
+    return subst, _kills_linear_relations(quad.universe, subst)
+
+
+def _kills_linear_relations(universe: GeneratorUniverse, subst: dict) -> bool:
+    """Whether ``subst`` maps the 5-term relation (the five rotations, cut
+    to four indices) of every five-subset of the quad labels to 0."""
+    for five in combinations(universe.labels, 5):
+        image: dict[int, int] = {}
+        for s in range(5):
+            gid, sign = universe.gen_id((five[s:] + five[:s])[:4])
+            for tg, c in subst[gid].items():
+                image[tg] = image.get(tg, 0) + sign * c
+        if any(image.values()):
+            return False
+    return True
 
 
 @lru_cache(maxsize=None)
 def quad_tri_span_match(n: int) -> bool:
-    """The substituted quad quadratic relations and the tri relations span
-    the same degree-2 subspace over Q (containment and equal rank, by exact
-    elimination: ``linalg.same_rational_span``); with the unimodularity
-    certificate, whose rank is that of the substitution's kernel, this
-    transports every degree >= 2 dimension between the presentations."""
+    """The linear certificate of ``_quad_linear_data`` holds, and the
+    substituted quad quadratic relations and the tri relations span the
+    same degree-2 subspace over Q (``linalg.same_rational_span``); by the
+    certificate's lemma this transports every dimension between the
+    presentations."""
+    if not _quad_linear_data(n)[1]:
+        return False
     if n < 5:
         return True  # no quadratic relations on either side below five labels
     quad = Presentation("quad", range(1, n + 1))
     tri = Presentation("tri", range(1, n))
-    if _quad_linear_data(n)[1] != (1,) * (len(quad.universe) - len(tri.universe)):
-        return False
     return same_rational_span(
         [quad_to_tri(r, n).terms for r in quad.quadratic_relations()],
         [r.terms for r in tri.relations()])
@@ -449,10 +467,10 @@ def hilbert_polynomial(p: Presentation) -> list[int]:
         if p.n < 3:
             raise ValueError("quad presentation needs at least 3 labels")
         if not quad_tri_span_match(p.n):
-            raise AssertionError("quad/tri relation spans differ in degree 2")
-        # the linear relations have one elementary divisor per unit of rank
+            raise AssertionError("quad/tri presentations not certified to match")
+        # degree 1 is free on the tri generators (``_quad_linear_data``)
         variant, m = "tri", p.n - 1
-        dims = [1, len(p.universe) - len(_quad_linear_data(p.n)[1])]
+        dims = [1, len(Presentation(variant, range(1, p.n)).universe)]
     else:
         variant, m, dims = p.variant, p.n, []
     dims += [assembled_dimension(variant, m, d)

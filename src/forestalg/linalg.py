@@ -9,8 +9,11 @@ kernels:
   the coordinates over a certified basis), every field rank, the span
   certificate ``same_rational_span`` and freeness by unit pivots;
 - ``_eliminate``, the unit-first unimodular elimination behind the Smith
-  divisors and the integer kernels; every other fact over Z (lattice
-  equality, membership) is read off Smith divisors;
+  divisors (``poset_homology``'s homology and Whitney ranks, and
+  ``acceptance``'s six-index membership) and the integer kernels
+  (``poset_homology``'s Whitney kernels); the other facts over Z
+  (lattice equality, membership), where no substitution or unit-pivot
+  certificate applies, are read off Smith divisors;
 - ``BitEchelon``, rows packed as ints, for the F_2 ranks of the Bockstein
   and the mod-2 step of an integer membership certificate.
 

@@ -169,8 +169,10 @@ class CooperadMap:
 
         Lemma.  The substitution phi of ``quad_to_tri`` maps the free quad
         exterior algebra onto the free tri one, and its kernel is the ideal
-        of the linear relations (their divisors are all 1, and their rank is
-        that of phi's kernel).  For k >= 5, ``quad_tri_span_match(k)`` says
+        of the linear relations (``quad_tri_span_match(k)`` first checks
+        that phi kills them all, and by the lemma of
+        ``lambda_alg._quad_linear_data`` their lattice is then ker phi in
+        degree 1).  For k >= 5, ``quad_tri_span_match(k)`` also says
         that phi maps the quad quadratic relations onto the span of the tri
         relations.  So phi(I_quad) = I_tri, and x lies in I_quad exactly when
         phi(x) lies in I_tri.  Each slot's coordinate map is thus an

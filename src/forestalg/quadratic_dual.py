@@ -9,9 +9,9 @@ relators a(x)b + b(x)a and a(x)a together with lifts of the shared-edge and
 5-term families.  The dual algebra is an ordinary (even) quadratic algebra on
 the dual generators whose relation space is the annihilator of R under the
 slotwise pairing; it equals the span of the explicit commutator families
-(checked by echelon), which are the rows actually used for dimension counts
-because they are homogeneous for the partition grading by connected
-components of the letter multiset.
+(checked by pairing and rank, ``dual_span_matches_explicit``), which are the
+rows actually used for dimension counts because they are homogeneous for the
+partition grading by connected components of the letter multiset.
 
 Word-space dimensions run per connected block by exact elimination over Q,
 so every reported dimension, and the inverse-Hilbert ``match``, is an
@@ -21,12 +21,12 @@ kept for the stored reports.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, combinations_with_replacement, permutations
+from math import comb
 
 from .lambda_alg import Presentation
-from .linalg import FieldEchelon, kernel_basis_fast, same_rational_span
+from .linalg import FieldEchelon, field_rank
 from .series import assemble_reachable, odd_square_product_poly
 
 
@@ -54,18 +54,6 @@ def primal_relation_rows(n: int) -> list[dict[int, int]]:
         if row:
             rows.append(row)
     return rows
-
-
-def annihilator_rows(n: int) -> list[dict[int, int]]:
-    """An integer basis of the annihilator of R under the slotwise pairing:
-    the integer kernel of the relation rows, read from the transposed rows
-    (one per word column) by ``kernel_basis_fast``."""
-    D = len(_triples(range(1, n)))
-    columns: list[dict[int, int]] = [{} for _ in range(D * D)]
-    for i, row in enumerate(primal_relation_rows(n)):
-        for c, v in row.items():
-            columns[c][i] = v
-    return kernel_basis_fast(columns)
 
 
 def explicit_dual_rows(labels) -> list[dict[int, int]]:
@@ -103,10 +91,27 @@ def explicit_dual_rows(labels) -> list[dict[int, int]]:
 
 
 def dual_span_matches_explicit(n: int) -> bool:
-    """R-annihilator == span of the explicit families, over Q
-    (``linalg.same_rational_span``)."""
-    return same_rational_span(annihilator_rows(n),
-                              explicit_dual_rows(tuple(range(1, n))))
+    """R-annihilator == span of the explicit families, over Q.
+
+    Lemma.  The words are orthonormal under the slotwise pairing, so the
+    annihilator of R has dimension D^2 - rank R over Q.  Explicit rows
+    that all pair to 0 with R span a subspace of it, equal to it exactly
+    when their rank is D^2 - rank R.
+    """
+    primal = primal_relation_rows(n)
+    explicit = explicit_dual_rows(tuple(range(1, n)))
+    meeting: dict[int, list[tuple[int, int]]] = {}  # word -> (R row, value)
+    for i, row in enumerate(primal):
+        for c, v in row.items():
+            meeting.setdefault(c, []).append((i, v))
+    for row in explicit:
+        pairing: dict[int, int] = {}
+        for c, v in row.items():
+            for i, w in meeting.get(c, ()):
+                pairing[i] = pairing.get(i, 0) + v * w
+        if any(pairing.values()):
+            return False
+    return field_rank(explicit) == comb(n - 1, 3) ** 2 - field_rank(primal)
 
 
 # ---------------------------------------------------------------------------
@@ -244,31 +249,25 @@ def inverse_hilbert_coefficients(n: int, up_to: int) -> list[int]:
 def ln_dimension_from_pbw(n: int, up_to_degree: int,
                           u_dims: list[int] | None = None) -> list[int]:
     """Graded Lie dimensions l_d from prod_d (1 - t^d)^(-l_d) = U(t),
-    solved degree by degree; integrality and nonnegativity are enforced."""
+    solved degree by degree in integers; a negative l_d raises
+    ArithmeticError."""
     if u_dims is None:
         u_dims = [un_dimension(n, d) for d in range(up_to_degree + 1)]
     l: list[int] = []
     for d in range(1, up_to_degree + 1):
-        # expand prod_{d' < d} (1-t^d')^(-l_{d'}) through degree d
-        series = [Fraction(1)] + [Fraction(0)] * d
+        # expand prod_{d' < d} (1-t^d')^(-l_{d'}) through degree d, in ints:
+        # the coefficient of x^k in (1-x)^(-l) is C(l+k-1, k)
+        series = [1] + [0] * d
         for dd, ld in enumerate(l, start=1):
-            # multiply by (1 - t^dd)^(-ld) degreewise
-            factor = [Fraction(0)] * (d + 1)
-            factor[0] = Fraction(1)
-            # coefficients of (1-x)^(-ld) at x^k are C(ld+k-1, k)
-            k = 1
-            while dd * k <= d:
-                c = Fraction(1)
-                for i in range(k):
-                    c = c * (ld + i) / (i + 1)
-                factor[dd * k] = c
-                k += 1
+            factor = [1] + [0] * d
+            for k in range(1, d // dd + 1):
+                factor[dd * k] = comb(ld + k - 1, k)
             series = [sum(series[i] * factor[j - i] for i in range(j + 1))
                       for j in range(d + 1)]
-        gap = Fraction(u_dims[d]) - series[d]
-        if gap.denominator != 1 or gap < 0:
+        gap = u_dims[d] - series[d]
+        if gap < 0:
             raise ArithmeticError(f"inconsistent Lie dimension at degree {d}: {gap}")
-        l.append(int(gap))
+        l.append(gap)
     return l
 
 

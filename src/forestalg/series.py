@@ -151,26 +151,6 @@ class TruncatedSeries:
     def _u_free_part(self):
         return {j: c for (i, j), c in self.coeffs.items() if i == 0}
 
-    def compose_u(self, inner: "TruncatedSeries") -> "TruncatedSeries":
-        """Substitute u -> inner; inner must have no u-free terms."""
-        if inner._u_free_part():
-            raise SeriesDomainError("substitution series must vanish at u = 0")
-        max_u = min(self.max_u, inner.max_u)
-        # group self by u-exponent, evaluate by Horner in inner
-        by_u: dict[int, dict[int, Fraction]] = {}
-        for (i, j), c in self.coeffs.items():
-            by_u.setdefault(i, {})[j] = c
-        result = TruncatedSeries.zero(max_u)
-        for i in sorted(by_u, reverse=True):
-            if i > max_u and i > 0:
-                continue  # inner^i has u-order >= i > max_u
-            tpoly = TruncatedSeries(max_u, {(0, j): c for j, c in by_u[i].items()})
-            power = TruncatedSeries.one(max_u)
-            for _ in range(i):
-                power = power * inner
-            result = result + tpoly * power
-        return result
-
     # -- transcendental (within Q[[u,t]]) ------------------------------------
 
     def exp(self) -> "TruncatedSeries":

@@ -61,16 +61,18 @@ def test_criterion_3_reports_a_block_without_unit_pivots(monkeypatch):
 
 
 def test_criterion_3_reads_freeness_off_criterion_1s_blocks(monkeypatch):
-    # one Q elimination per block serves both criteria; Smith runs only on
-    # the quad linear lattices and the six-index memberships
+    # one Q elimination per block serves both criteria, the quad linear
+    # lattices are certified by their substitution, and Smith runs only on
+    # the six-index memberships
     smith_calls = []
-    for module in (acceptance, lambda_alg, poset_homology):
+    for module in (acceptance, poset_homology):
         real = module.smith_divisors
         monkeypatch.setattr(
             module, "smith_divisors",
             lambda rows, module=module, real=real:
             smith_calls.append(module.__name__) or real(rows))
     assert not hasattr(skewpoly, "smith_divisors")
+    assert not hasattr(lambda_alg, "smith_divisors")
     clear_caches()
     assert acceptance.criterion_1_hilbert(n_max=8)["pass"]
     after_1 = lambda_alg.block_dimension.cache_info()
@@ -81,10 +83,21 @@ def test_criterion_3_reads_freeness_off_criterion_1s_blocks(monkeypatch):
     after_3 = lambda_alg.block_dimension.cache_info()
     assert after_3.misses == after_1.misses
     assert after_3.hits > after_1.hits
-    quad_lattices = lambda_alg._quad_linear_data.cache_info().currsize
-    assert smith_calls.count("forestalg.lambda_alg") == quad_lattices == 6
-    assert smith_calls.count("forestalg.acceptance") == 4  # n = 6, 7, twice
-    assert len(smith_calls) == quad_lattices + 4
+    quad_lattices = lambda_alg._quad_linear_data.cache_info()
+    assert quad_lattices.currsize == quad_lattices.misses == 6
+    assert smith_calls == ["forestalg.acceptance"] * 4  # n = 6, 7, twice
+
+
+def test_criterion_3_lists_an_uncertified_linear_lattice(monkeypatch):
+    real = lambda_alg._quad_linear_data
+    monkeypatch.setattr(lambda_alg, "_quad_linear_data",
+                        lambda n: (real(n)[0], n != 5))
+    try:
+        rep = acceptance.criterion_3_freeness(n_max=6)
+    finally:
+        monkeypatch.undo()
+    assert not rep["pass"]
+    assert rep["divisors"] == {3: [], 4: [], 5: [("quad-linear", None)], 6: []}
 
 
 def test_criterion_4_basic_forest_basis():

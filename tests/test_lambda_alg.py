@@ -6,7 +6,7 @@ import sys
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, permutations
-from math import gcd
+from math import comb, gcd
 from pathlib import Path
 
 import pytest
@@ -18,7 +18,7 @@ from forestalg.lambda_alg import (Presentation, basic_forest_complex_homology,
                                   forest_normal_form, hilbert_polynomial,
                                   partition_component_dims, quad_to_tri,
                                   quad_tri_span_match, whitney_differential)
-from forestalg.linalg import FieldEchelon
+from forestalg.linalg import FieldEchelon, smith_divisors
 from forestalg.rings import QQ
 from forestalg.skewpoly import SkewPoly, ideal_slice, mul_monomials
 from skewpoly_oracle import Poly, term
@@ -334,19 +334,39 @@ def test_quad_tri_span_match_against_rational_elimination(n):
     assert not any(quad_to_tri(r, n) for r in quad.linear_relations())
 
 
-@pytest.mark.parametrize("spoil", [lambda d: d[:-1], lambda d: d[:-1] + (2,)],
-                         ids=["rank-short", "non-unit"])
-def test_quad_tri_span_match_needs_unimodular_full_rank(monkeypatch, spoil):
-    real = lambda_alg._quad_linear_data
-    monkeypatch.setattr(lambda_alg, "_quad_linear_data",
-                        lambda n: (real(n)[0], spoil(real(n)[1])))
-    quad_tri_span_match.cache_clear()
+@pytest.mark.parametrize("n", range(4, 10))
+def test_linear_certificate_against_smith_divisors(n):
+    # oracle: the Smith divisors of the quad linear relations, built with
+    # every family; C(n-1, 4) divisors, all 1, exactly when phi kills them
+    quad = Presentation("quad", range(1, n + 1))
+    rows = [{g[0]: c for g, c in r.terms.items()}
+            for r in quad.linear_relations()]
+    rank = comb(n - 1, 4)
+    free = smith_divisors(rows) == (rank, [1] * rank)
+    assert free == lambda_alg._quad_linear_data(n)[1]
+    assert free
+
+
+def test_spoiled_substitution_fails_the_linear_certificate(monkeypatch):
+    # negating the image of any one generator breaks a 5-term relation
+    # through it, and the span match reads the certificate
+    n = 6
+    subst, certified = lambda_alg._quad_linear_data(n)
+    assert certified
+    universe = Presentation("quad", range(1, n + 1)).universe
     try:
-        assert not quad_tri_span_match(6)
+        for gid in range(len(universe.tuples)):
+            spoiled = {**subst, gid: {t: -c for t, c in subst[gid].items()}}
+            verdict = lambda_alg._kills_linear_relations(universe, spoiled)
+            assert not verdict
+            monkeypatch.setattr(lambda_alg, "_quad_linear_data",
+                                lambda k: (spoiled, verdict))
+            quad_tri_span_match.cache_clear()
+            assert not quad_tri_span_match(n)
     finally:
         monkeypatch.undo()
         quad_tri_span_match.cache_clear()
-    assert quad_tri_span_match(6)
+    assert quad_tri_span_match(n)
 
 
 def tri_to_quad(x: SkewPoly, tri: Presentation, quad: Presentation) -> SkewPoly:

@@ -5,8 +5,8 @@ from math import comb
 import pytest
 
 from forestalg import quadratic_dual
-from forestalg.linalg import FieldEchelon
-from forestalg.quadratic_dual import (annihilator_rows, dual_block_dimension,
+from forestalg.linalg import FieldEchelon, kernel_basis_fast, same_rational_span
+from forestalg.quadratic_dual import (dual_block_dimension,
                                       dual_span_matches_explicit,
                                       explicit_dual_rows,
                                       inverse_hilbert_coefficients,
@@ -15,9 +15,45 @@ from forestalg.quadratic_dual import (annihilator_rows, dual_block_dimension,
                                       primal_relation_rows, un_dimension)
 
 
+def annihilator_rows(n: int) -> list[dict[int, int]]:
+    """Oracle: an integer basis of the annihilator of R under the slotwise
+    pairing, the integer kernel of the relation rows read from the
+    transposed rows (one per word column) by ``kernel_basis_fast``."""
+    D = comb(n - 1, 3)
+    columns: list[dict[int, int]] = [{} for _ in range(D * D)]
+    for i, row in enumerate(primal_relation_rows(n)):
+        for c, v in row.items():
+            columns[c][i] = v
+    return kernel_basis_fast(columns)
+
+
 def test_span_matches_explicit():
     for n in (4, 5, 6, 7):
-        assert dual_span_matches_explicit(n)
+        # the integer-kernel oracle, compared by the Q span certificate
+        oracle = same_rational_span(annihilator_rows(n),
+                                    explicit_dual_rows(tuple(range(1, n))))
+        assert dual_span_matches_explicit(n) == oracle
+        assert oracle
+
+
+def test_span_match_fails_on_a_flipped_entry(monkeypatch):
+    # flipping the sign of any one entry of any one explicit row breaks
+    # its pairing with R (a commutator row turns symmetric in two words)
+    real = explicit_dual_rows(tuple(range(1, 6)))
+    for k, row in enumerate(real):
+        for c in row:
+            flipped = real[:k] + [{**row, c: -row[c]}] + real[k + 1:]
+            monkeypatch.setattr(quadratic_dual, "explicit_dual_rows",
+                                lambda labels: flipped)
+            assert not dual_span_matches_explicit(6)
+    monkeypatch.undo()
+    assert dual_span_matches_explicit(6)
+
+
+def test_no_integer_kernel_in_the_dual():
+    assert not hasattr(quadratic_dual, "kernel_basis_fast")
+    assert not hasattr(quadratic_dual, "same_rational_span")
+    assert not hasattr(quadratic_dual, "annihilator_rows")
 
 
 def duality_dimension_identity(n: int) -> bool:
@@ -181,6 +217,13 @@ def test_pbw_examples():
     assert ln_dimension_from_pbw(6, 1) == [10]
     l7 = ln_dimension_from_pbw(7, 3)
     assert all(v >= 0 for v in l7)
+
+
+def test_pbw_rejects_a_negative_gap():
+    # l_1 = 4, and (1 - t)^(-4) already has 10 in degree 2
+    assert ln_dimension_from_pbw(5, 2, [1, 4, 10]) == [4, 0]
+    with pytest.raises(ArithmeticError, match="degree 2: -5"):
+        ln_dimension_from_pbw(5, 2, [1, 4, 5])
 
 
 def test_koszul_check():
