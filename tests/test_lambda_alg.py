@@ -347,6 +347,31 @@ def test_linear_certificate_against_smith_divisors(n):
     assert free
 
 
+@pytest.mark.parametrize("spoil", [lambda img: {},
+                                   lambda img: {t: 2 * c for t, c in img.items()}],
+                         ids=["rank-short", "non-unit"])
+def test_quad_tri_span_match_needs_unimodular_full_rank(monkeypatch, spoil):
+    # zeroing one generator's image (a rank-short quotient) or doubling it (a
+    # non-unit divisor) breaks a 5-term relation; the span match must refuse
+    n = 6
+    subst, certified = lambda_alg._quad_linear_data(n)
+    assert certified
+    universe = Presentation("quad", range(1, n + 1)).universe
+    try:
+        for gid in range(len(universe.tuples)):
+            spoiled = {**subst, gid: spoil(subst[gid])}
+            verdict = lambda_alg._kills_linear_relations(universe, spoiled)
+            assert not verdict
+            monkeypatch.setattr(lambda_alg, "_quad_linear_data",
+                                lambda k: (spoiled, verdict))
+            quad_tri_span_match.cache_clear()
+            assert not quad_tri_span_match(n)
+    finally:
+        monkeypatch.undo()
+        quad_tri_span_match.cache_clear()
+    assert quad_tri_span_match(n)
+
+
 def test_spoiled_substitution_fails_the_linear_certificate(monkeypatch):
     # negating the image of any one generator breaks a 5-term relation
     # through it, and the span match reads the certificate
